@@ -21,6 +21,7 @@ import (
 	"rdmaagreement/internal/fastpaxos"
 	"rdmaagreement/internal/fastrobust"
 	"rdmaagreement/internal/memsim"
+	"rdmaagreement/internal/metrics"
 	"rdmaagreement/internal/netsim"
 	"rdmaagreement/internal/omega"
 	"rdmaagreement/internal/paxos"
@@ -100,10 +101,10 @@ type Options struct {
 	// Recorder receives trace events from every node; may be nil.
 	Recorder *trace.Recorder
 	// InstancesOnly skips building the single-shot proposer nodes: the
-	// cluster serves only multiplexed consensus instances (NewInstance).
-	// The replicated-log layer sets it so that a log group does not carry a
-	// full set of permanently idle base nodes. Cluster.Proposer returns nil
-	// for every process when set.
+	// cluster serves only log slots, through its per-process slot engines
+	// (Engine). The replicated-log layer sets it so that a log group does
+	// not carry a full set of permanently idle base nodes. Cluster.Proposer
+	// returns nil for every process when set.
 	InstancesOnly bool
 }
 
@@ -170,12 +171,12 @@ type Cluster struct {
 	Oracle *omega.LeaseDetector
 
 	proposers map[types.ProcID]Proposer
+	engines   map[types.ProcID]*pmpaxos.Engine // Protected Memory Paxos only: one slot engine per process
+	open      metrics.Gauge                    // slot proposals in flight across the engines
 
-	mu            sync.Mutex
-	routers       map[types.ProcID]*netsim.Router
-	stoppers      []func()
-	liveInstances int // open (NewInstance'd, not yet Closed) consensus instances
-	peakInstances int // high-water mark of liveInstances
+	mu       sync.Mutex
+	routers  map[types.ProcID]*netsim.Router
+	stoppers []func()
 }
 
 // NewCluster builds a cluster running the given protocol.
@@ -218,6 +219,10 @@ func NewCluster(protocol Protocol, opts Options) (*Cluster, error) {
 			return pmpaxos.Layout(procs, opts.Leader)
 		}, memOpts)
 		build = c.buildProtectedMemoryPaxos
+		if err := c.startEngines(); err != nil {
+			c.Close()
+			return nil, fmt.Errorf("cluster %s: %w", protocol, err)
+		}
 	case ProtocolAlignedPaxos:
 		c.Pool = memsim.NewPool(opts.Memories, func(types.MemID) []memsim.RegionSpec {
 			return aligned.Layout(procs)
@@ -277,7 +282,10 @@ func (c *Cluster) startLeaseRuntime() {
 	var wg sync.WaitGroup
 	for _, p := range c.Procs {
 		ep := c.Network.Register(p)
-		sub := c.router(p).Subscribe(omega.LeaseHeartbeatKind, 0)
+		// The receiver below never blocks, so a small buffer suffices;
+		// the router's 1024-message default is a large allocation per
+		// process at every cluster set-up.
+		sub := c.router(p).Subscribe(omega.LeaseHeartbeatKind, 4*len(c.Procs))
 		wg.Add(2)
 		go func() { // heartbeat sender: errors just mean nobody hears us
 			defer wg.Done()
@@ -346,45 +354,72 @@ func (c *Cluster) Close() {
 // Proposer returns the node of process p.
 func (c *Cluster) Proposer(p types.ProcID) Proposer { return c.proposers[p] }
 
-// LiveInstances returns how many consensus instances are currently open
-// (created by NewInstance/NewRecoveryInstance and not yet Closed). A
-// pipelined replicated log keeps up to its pipeline depth open per group.
-func (c *Cluster) LiveInstances() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.liveInstances
-}
-
-// PeakInstances returns the high-water mark of LiveInstances over the
-// cluster's lifetime — the observed slot-level concurrency.
-func (c *Cluster) PeakInstances() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.peakInstances
-}
-
-// instanceOpened and instanceClosed maintain the live-instance count. An
-// instance is counted exactly once: Close is idempotent and an instance
-// abandoned half-built (a builder failed) was never counted.
-func (c *Cluster) instanceOpened(inst *Instance) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	inst.counted = true
-	c.liveInstances++
-	if c.liveInstances > c.peakInstances {
-		c.peakInstances = c.liveInstances
+// startEngines creates and starts the Protected Memory Paxos slot engines:
+// one per process, each with a single decide subscription on the process's
+// router. Every engine shares the cluster's memories, network endpoint,
+// lease oracle (new slots are laid out for the current lease holder) and
+// open-slot gauge.
+func (c *Cluster) startEngines() error {
+	c.engines = make(map[types.ProcID]*pmpaxos.Engine, len(c.Procs))
+	for _, p := range c.Procs {
+		e, err := pmpaxos.NewEngine(pmpaxos.EngineConfig{
+			Self:           p,
+			Procs:          c.Procs,
+			FaultyMemories: c.Opts.FaultyMemories,
+			Memories:       c.Pool.Memories(),
+			Oracle:         c.Oracle,
+			Endpoint:       c.Network.Register(p),
+			// The demux loop never blocks, so a small buffer suffices.
+			DecideSub: c.router(p).Subscribe(pmpaxos.SlotDecideKind, 4*len(c.Procs)),
+			Recorder:  c.Opts.Recorder,
+			Open:      &c.open,
+		})
+		if err != nil {
+			return err
+		}
+		e.Start()
+		c.engines[p] = e
+		c.stoppers = append(c.stoppers, e.Stop)
 	}
+	return nil
 }
 
-func (c *Cluster) instanceClosed(inst *Instance) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !inst.counted {
-		return
+// Engine returns the slot engine of process p: the replicated log proposes
+// and learns every slot through it. It is nil unless the cluster runs
+// Protected Memory Paxos.
+func (c *Cluster) Engine(p types.ProcID) *pmpaxos.Engine { return c.engines[p] }
+
+// ReleaseSlots frees every slot up to and including through: each engine
+// drops its per-slot state (later decides for those slots are ignored) and
+// the memories drop the regions of slots from..through. It returns how many
+// regions were released. It is the substrate half of replicated-log slot
+// GC, called once a snapshot covers the slots; releasing a slot that a
+// proposal is still running on is the caller's bug.
+func (c *Cluster) ReleaseSlots(from, through uint64) int {
+	for _, e := range c.engines {
+		e.Release(through)
 	}
-	inst.counted = false
-	c.liveInstances--
+	released := 0
+	if c.engines != nil {
+		for slot := from; slot <= through; slot++ {
+			released += c.Pool.ReleaseRegion(pmpaxos.RegionFor(slot))
+		}
+	}
+	return released
 }
+
+// LiveRegions sums the live memory-region counts across the cluster's pool —
+// the figure slot-GC bounds.
+func (c *Cluster) LiveRegions() int { return c.Pool.LiveRegions() }
+
+// LiveInstances returns how many slot proposals are in flight across the
+// cluster's engines. A pipelined replicated log keeps up to its pipeline
+// depth open per group.
+func (c *Cluster) LiveInstances() int { return int(c.open.Load()) }
+
+// PeakInstances returns the most slots ever open at once over the cluster's
+// lifetime — the observed slot-level concurrency.
+func (c *Cluster) PeakInstances() int { return int(c.open.Peak()) }
 
 // Leader returns the current lease holder. Before any takeover this is the
 // configured initial leader; after an election or SetLeader it follows the
@@ -433,8 +468,7 @@ func (c *Cluster) ReviveProcess(p types.ProcID) { c.Network.ReviveProcess(p) }
 
 // router returns the router of process p, creating and tracking it on first
 // use. Each process has at most one router (the router owns the endpoint's
-// receive loop); consensus instances multiplexed over a long-lived cluster
-// add and remove subscriptions on the same router.
+// receive loop); every protocol layer of the process subscribes on it.
 func (c *Cluster) router(p types.ProcID) *netsim.Router {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -596,9 +630,6 @@ func (a *paxosProposer) Clock() *delayclock.Clock { return a.node.Clock() }
 
 func (c *Cluster) buildPaxos(p types.ProcID) (Proposer, func(), error) {
 	router := c.router(p)
-	// Subscribe to the exact base kind, not the "paxos/" prefix: per-slot
-	// instances multiplexed over this cluster use "paxos/slot/<n>/msg" kinds,
-	// which must never leak into the base node's acceptor state.
 	tr := paxos.NewNetTransport(c.Network.Register(p), router.Subscribe("paxos/msg", 0), "paxos/msg")
 	node := paxos.NewNode(paxos.Config{
 		Self:         p,

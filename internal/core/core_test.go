@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -126,48 +127,66 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-func TestReleaseInstanceFreesSlotRegions(t *testing.T) {
+// TestReleaseSlotsFreesRegionsAndEngineState decides one slot through the
+// cluster's engines and releases it: the slot's region goes from every
+// memory and its state from every engine, exactly once.
+func TestReleaseSlotsFreesRegionsAndEngineState(t *testing.T) {
 	cluster, err := NewCluster(ProtocolProtectedMemoryPaxos, Options{Processes: 3, Memories: 3, InstancesOnly: true})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	defer cluster.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 
 	base := cluster.LiveRegions()
-	inst, err := cluster.NewInstance(7)
-	if err != nil {
-		t.Fatalf("NewInstance: %v", err)
+	if _, err := cluster.Engine(1).Propose(ctx, 7, types.Value("v"), false); err != nil {
+		t.Fatalf("Propose: %v", err)
+	}
+	for _, p := range cluster.Procs {
+		if _, err := cluster.Engine(p).WaitDecision(ctx, 7); err != nil {
+			t.Fatalf("WaitDecision at %v: %v", p, err)
+		}
 	}
 	if got := cluster.LiveRegions(); got != base+3 {
-		t.Fatalf("LiveRegions() = %d after NewInstance, want %d (one slot region per memory)", got, base+3)
+		t.Fatalf("LiveRegions() = %d after deciding a slot, want %d (one slot region per memory)", got, base+3)
 	}
-	inst.Close() // stops nodes and subscriptions; the durable region stays
-	if got := cluster.LiveRegions(); got != base+3 {
-		t.Fatalf("LiveRegions() = %d after Close, want %d (Close must not drop the decided slot)", got, base+3)
-	}
-	if released := cluster.ReleaseInstance(7); released != 3 {
-		t.Fatalf("ReleaseInstance released %d regions, want 3", released)
+	if released := cluster.ReleaseSlots(7, 7); released != 3 {
+		t.Fatalf("ReleaseSlots released %d regions, want 3", released)
 	}
 	if got := cluster.LiveRegions(); got != base {
-		t.Fatalf("LiveRegions() = %d after ReleaseInstance, want %d", got, base)
+		t.Fatalf("LiveRegions() = %d after ReleaseSlots, want %d", got, base)
 	}
-	if released := cluster.ReleaseInstance(7); released != 0 {
-		t.Fatalf("second ReleaseInstance released %d regions, want 0", released)
+	for _, p := range cluster.Procs {
+		if n := cluster.Engine(p).Slots(); n != 0 {
+			t.Fatalf("engine %v holds %d slots after release, want 0", p, n)
+		}
+	}
+	if released := cluster.ReleaseSlots(7, 7); released != 0 {
+		t.Fatalf("second ReleaseSlots released %d regions, want 0", released)
 	}
 }
 
-func TestReleaseInstanceNoOpForMessagePassing(t *testing.T) {
+// TestReleaseSlotsNoOpForMessagePassing: only Protected Memory Paxos runs
+// slot engines; other clusters have none and release nothing.
+func TestReleaseSlotsNoOpForMessagePassing(t *testing.T) {
 	cluster, err := NewCluster(ProtocolPaxos, Options{Processes: 3, Memories: 3, InstancesOnly: true})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
 	defer cluster.Close()
-	if released := cluster.ReleaseInstance(0); released != 0 {
-		t.Fatalf("ReleaseInstance on paxos released %d regions, want 0", released)
+	if e := cluster.Engine(1); e != nil {
+		t.Fatalf("paxos cluster has a slot engine")
+	}
+	if released := cluster.ReleaseSlots(0, 3); released != 0 {
+		t.Fatalf("ReleaseSlots on paxos released %d regions, want 0", released)
 	}
 }
 
-func TestLiveInstanceBookkeeping(t *testing.T) {
+// TestOpenSlotBookkeeping holds two slot proposals open on a stalled fabric:
+// LiveInstances counts them, and PeakInstances keeps the high-water mark
+// after they end.
+func TestOpenSlotBookkeeping(t *testing.T) {
 	cluster, err := NewCluster(ProtocolProtectedMemoryPaxos, Options{Processes: 3, Memories: 3, InstancesOnly: true})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
@@ -176,36 +195,27 @@ func TestLiveInstanceBookkeeping(t *testing.T) {
 	if live := cluster.LiveInstances(); live != 0 {
 		t.Fatalf("LiveInstances() = %d at start, want 0", live)
 	}
-	a, err := cluster.NewInstance(1)
-	if err != nil {
-		t.Fatalf("NewInstance(1): %v", err)
+	cluster.CrashMemories(3) // every proposal hangs until cancelled
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for slot, p := range map[uint64]types.ProcID{1: 1, 2: 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = cluster.Engine(p).Propose(ctx, slot, types.Value("v"), p != 1)
+		}()
 	}
-	b, err := cluster.NewRecoveryInstance(1, 2)
-	if err != nil {
-		t.Fatalf("NewRecoveryInstance(1, 2): %v", err)
+	deadline := time.Now().Add(5 * time.Second)
+	for cluster.LiveInstances() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("LiveInstances() = %d with two proposals open, want 2", cluster.LiveInstances())
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if live, peak := cluster.LiveInstances(), cluster.PeakInstances(); live != 2 || peak != 2 {
-		t.Fatalf("LiveInstances()/PeakInstances() = %d/%d with two open instances, want 2/2", live, peak)
-	}
-	a.Close()
-	a.Close() // idempotent: must not double-decrement
-	if live := cluster.LiveInstances(); live != 1 {
-		t.Fatalf("LiveInstances() = %d after one Close, want 1", live)
-	}
-	b.Close()
+	cancel()
+	wg.Wait()
 	if live, peak := cluster.LiveInstances(), cluster.PeakInstances(); live != 0 || peak != 2 {
-		t.Fatalf("LiveInstances()/PeakInstances() = %d/%d after closing all, want 0/2", live, peak)
-	}
-}
-
-func TestRecoveryInstanceRequiresProposer(t *testing.T) {
-	cluster, err := NewCluster(ProtocolProtectedMemoryPaxos, Options{Processes: 3, Memories: 3, InstancesOnly: true})
-	if err != nil {
-		t.Fatalf("NewCluster: %v", err)
-	}
-	defer cluster.Close()
-	if _, err := cluster.NewRecoveryInstance(1, 0); err == nil {
-		t.Fatalf("NewRecoveryInstance with no proposer succeeded, want error")
+		t.Fatalf("LiveInstances()/PeakInstances() = %d/%d after both ended, want 0/2", live, peak)
 	}
 }
 

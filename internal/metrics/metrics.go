@@ -232,6 +232,34 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 	return s.Max
 }
 
+// QuantileBound is the exact quantile path for integer-valued histograms
+// (counts recorded as 1ns units, such as commands per batch): it returns the
+// inclusive upper bound of the bucket holding the q-th quantile, capped at
+// Max — never a value interpolated between two integers and truncated. With
+// bounds at every integer the result is exact; with coarser bounds it is the
+// bucket's ceiling, an upper estimate in the histogram's own units. Returns
+// zero when the histogram is empty.
+func (s HistogramSnapshot) QuantileBound(q float64) time.Duration {
+	if s.Count == 0 || q <= 0 {
+		return 0
+	}
+	if q > 1 {
+		q = 1
+	}
+	target := q * float64(s.Count)
+	cum := 0.0
+	for i, c := range s.Counts {
+		cum += float64(c)
+		if c > 0 && cum >= target {
+			if i < len(s.Bounds) && s.Bounds[i] < s.Max {
+				return s.Bounds[i]
+			}
+			return s.Max
+		}
+	}
+	return s.Max
+}
+
 // Registry names instruments and hands out get-or-create handles. The hot
 // path never touches the registry: callers look their instruments up once and
 // keep the pointers.

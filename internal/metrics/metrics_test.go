@@ -92,6 +92,42 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileBound pins the integer path: counts recorded as 1ns
+// units read back as bucket bounds, so singleton batches report 1, not the
+// truncated interpolation 0.
+func TestHistogramQuantileBound(t *testing.T) {
+	h := NewHistogram([]time.Duration{1, 2, 4, 8})
+	if got := h.Snapshot().QuantileBound(0.5); got != 0 {
+		t.Fatalf("empty QuantileBound = %v, want 0", got)
+	}
+	for i := 0; i < 100; i++ {
+		h.Observe(1)
+	}
+	s := h.Snapshot()
+	if got := s.Quantile(0.5); got != 0 {
+		t.Fatalf("interpolated p50 of singletons = %d; the test premise (truncation to 0) no longer holds", got)
+	}
+	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
+		if got := s.QuantileBound(q); got != 1 {
+			t.Fatalf("QuantileBound(%v) of 100 ones = %d, want 1", q, got)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		h.Observe(3) // (2, 4] bucket
+	}
+	h.Observe(20) // overflow bucket: capped at Max
+	s = h.Snapshot()
+	if got := s.QuantileBound(0.25); got != 1 {
+		t.Fatalf("QuantileBound(0.25) = %d, want 1", got)
+	}
+	if got := s.QuantileBound(0.9); got != 4 {
+		t.Fatalf("QuantileBound(0.9) = %d, want the bucket bound 4", got)
+	}
+	if got := s.QuantileBound(1); got != 20 {
+		t.Fatalf("QuantileBound(1) = %d, want Max 20", got)
+	}
+}
+
 func TestHistogramQuantileSpread(t *testing.T) {
 	h := NewHistogram(nil)
 	for i := 0; i < 90; i++ {

@@ -59,10 +59,9 @@ func (r *Router) Subscribe(prefix string, buffer int) <-chan Message {
 
 // Unsubscribe removes the subscription whose channel is ch. Messages already
 // delivered to the channel stay readable; new messages matching its prefix
-// fall through to shorter-prefix subscriptions or the fallback. Long-lived
-// clusters that multiplex many short-lived consensus instances over one
-// router must unsubscribe finished instances so dispatch stays O(live
-// instances), not O(all instances ever).
+// fall through to shorter-prefix subscriptions or the fallback. A layer that
+// stops listening on a long-lived router unsubscribes so dispatch stays
+// O(live subscriptions).
 func (r *Router) Unsubscribe(ch <-chan Message) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

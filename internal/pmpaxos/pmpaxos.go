@@ -11,18 +11,21 @@
 // permission from the start and therefore decides after a single parallel
 // write to the memories — two delays.
 //
-// Each memory holds one region with a slot per process; only the current
-// permission holder can write (each process writes only its own slot), and
-// every process can read every slot.
+// Each memory holds one region per consensus instance with a slot per
+// process; only the current permission holder can write (each process writes
+// only its own slot), and every process can read every slot.
+//
+// The protocol runs in an Engine: one long-lived participant per process that
+// decides any number of instances (log slots), keyed by slot index, over one
+// decide subscription. A Node is the stand-alone single-shot instance — an
+// engine pinned to one pre-laid-out region.
 package pmpaxos
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"rdmaagreement/internal/delayclock"
@@ -41,6 +44,10 @@ const Region = types.RegionID("pmpaxos")
 // the stand-alone instance.
 const DecideKind = "pmpaxos/decide"
 
+// SlotDecideKind is the one message kind of every slot engine's decide
+// broadcasts; the payload's header carries the slot index.
+const SlotDecideKind = "pmpaxos/slot"
+
 // instanceRegionPrefix scopes the regions of multiplexed consensus instances
 // (log slots) so that an unbounded sequence of instances can share one memory
 // pool without colliding.
@@ -48,19 +55,14 @@ const instanceRegionPrefix = "pmpaxos/slot/"
 
 // RegionFor names the region of consensus instance slot.
 func RegionFor(slot uint64) types.RegionID {
-	return types.RegionID(fmt.Sprintf("%s%d", instanceRegionPrefix, slot))
-}
-
-// DecideKindFor names the decide-broadcast message kind of consensus instance
-// slot. The trailing path segment keeps slot prefixes unambiguous (slot 3
-// never matches a subscription for slot 30 and vice versa).
-func DecideKindFor(slot uint64) string {
-	return fmt.Sprintf("pmpaxos/slot/%d/decide", slot)
+	buf := make([]byte, 0, len(instanceRegionPrefix)+20)
+	buf = append(buf, instanceRegionPrefix...)
+	return types.RegionID(strconv.AppendUint(buf, slot, 10))
 }
 
 // slotRegister names the slot of process p.
 func slotRegister(p types.ProcID) types.RegisterID {
-	return types.RegisterID(fmt.Sprintf("slot/%d", int(p)))
+	return types.RegisterID("slot/" + strconv.Itoa(int(p)))
 }
 
 // Layout returns the per-memory region layout: one region containing one slot
@@ -68,13 +70,6 @@ func slotRegister(p types.ProcID) types.RegisterID {
 // everyone.
 func Layout(procs []types.ProcID, initialLeader types.ProcID) []memsim.RegionSpec {
 	return []memsim.RegionSpec{RegionSpecFor(Region, procs, initialLeader)}
-}
-
-// InstanceLayout returns the region layout of consensus instance slot. The
-// replicated-log layer installs one such region per slot on the shared,
-// long-lived memory pool (memsim.Memory.EnsureRegion).
-func InstanceLayout(slot uint64, procs []types.ProcID, initialLeader types.ProcID) memsim.RegionSpec {
-	return RegionSpecFor(RegionFor(slot), procs, initialLeader)
 }
 
 // RegionSpecFor builds the protocol's region layout under an arbitrary region
@@ -85,17 +80,20 @@ func RegionSpecFor(region types.RegionID, procs []types.ProcID, initialLeader ty
 	for _, p := range procs {
 		regs = append(regs, slotRegister(p))
 	}
+	return memsim.RegionSpec{ID: region, Registers: regs, Perm: exclusiveFor(procs, initialLeader)}
+}
+
+// exclusiveFor is the permission that makes p the only writer while every
+// other process keeps read access: a region's initial layout for its leader,
+// and what a phase-1 takeover installs.
+func exclusiveFor(procs []types.ProcID, p types.ProcID) memsim.Permission {
 	readers := types.NewProcSet()
-	for _, p := range procs {
-		if p != initialLeader {
-			readers = readers.Add(p)
+	for _, q := range procs {
+		if q != p {
+			readers[q] = struct{}{}
 		}
 	}
-	return memsim.RegionSpec{
-		ID:        region,
-		Registers: regs,
-		Perm:      memsim.NewPermission(readers, nil, types.NewProcSet(initialLeader)),
-	}
+	return memsim.NewPermission(readers, nil, types.NewProcSet(p))
 }
 
 // LegalChange returns the permission-change policy: a process may only make
@@ -113,33 +111,8 @@ func LegalChange(procs []types.ProcID) memsim.LegalChangeFunc {
 	}
 }
 
-// slot is the content of slot[i, p].
-type slot struct {
-	MinProposal types.ProposalNumber `json:"min_proposal"`
-	AccProposal types.ProposalNumber `json:"acc_proposal"`
-	Value       types.Value          `json:"value,omitempty"`
-}
-
-func (s slot) encode() (types.Value, error) {
-	out, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("encode slot: %w", err)
-	}
-	return out, nil
-}
-
-func decodeSlot(raw types.Value) (slot, bool) {
-	if raw.Bottom() {
-		return slot{}, false
-	}
-	var s slot
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return slot{}, false
-	}
-	return s, true
-}
-
-// Config configures a Protected Memory Paxos participant.
+// Config configures a stand-alone, single-shot Protected Memory Paxos
+// participant (Node).
 type Config struct {
 	// Self is this process.
 	Self types.ProcID
@@ -149,13 +122,6 @@ type Config struct {
 	Procs []types.ProcID
 	// InitialLeader is the process holding write permission at start (p1).
 	InitialLeader types.ProcID
-	// ForcePhase1 makes this node run the full first phase even on its first
-	// proposal as the initial leader. Recovery and fencing proposers set it:
-	// their phase 1 must steal the write permission — fencing any
-	// still-in-flight write of a superseded attempt — and adopt the highest
-	// accepted value, both of which the initial leader's skip-phase-1 fast
-	// path would bypass.
-	ForcePhase1 bool
 	// FaultyMemories is f_M; m ≥ 2f_M+1.
 	FaultyMemories int
 	// Memories is the memory pool laid out with Layout/LegalChange.
@@ -164,18 +130,11 @@ type Config struct {
 	// always considers itself leader.
 	Oracle omega.Oracle
 	// Endpoint and DecideSub, if set, are used to broadcast and learn
-	// decisions so that all correct processes terminate, as suggested in the
-	// paper's termination proof. They are optional: Propose works without
-	// them.
+	// decisions (kind DecideKind) so that all correct processes terminate,
+	// as suggested in the paper's termination proof. They are optional:
+	// Propose works without them.
 	Endpoint  *netsim.Endpoint
 	DecideSub <-chan netsim.Message
-	// Region is the memory region this node operates on. Empty means the
-	// stand-alone Region; the replicated-log layer sets RegionFor(slot) so
-	// that many instances multiplex one memory pool.
-	Region types.RegionID
-	// DecideKind is the message kind of decide broadcasts. Empty means the
-	// stand-alone DecideKind; instances use DecideKindFor(slot).
-	DecideKind string
 	// RetryDelay is the pause before retrying a preempted proposal. Zero
 	// means 10ms.
 	RetryDelay time.Duration
@@ -187,12 +146,8 @@ type Config struct {
 
 // Validate checks the resilience bounds.
 func (c *Config) Validate() error {
-	if len(c.Procs) < 1 {
-		return fmt.Errorf("%w: at least one process is required", types.ErrInvalidConfig)
-	}
-	if len(c.Memories) < 2*c.FaultyMemories+1 {
-		return fmt.Errorf("%w: m=%d cannot tolerate f_M=%d (need m ≥ 2f_M+1)",
-			types.ErrInvalidConfig, len(c.Memories), c.FaultyMemories)
+	if err := validate(c.Procs, c.Memories, c.FaultyMemories); err != nil {
+		return err
 	}
 	if c.InitialLeader == types.NoProcess {
 		return fmt.Errorf("%w: an initial leader is required", types.ErrInvalidConfig)
@@ -200,19 +155,15 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-func (c *Config) applyDefaults() {
-	if c.Region == "" {
-		c.Region = Region
+func validate(procs []types.ProcID, memories []*memsim.Memory, faultyMemories int) error {
+	if len(procs) < 1 {
+		return fmt.Errorf("%w: at least one process is required", types.ErrInvalidConfig)
 	}
-	if c.DecideKind == "" {
-		c.DecideKind = DecideKind
+	if len(memories) < 2*faultyMemories+1 {
+		return fmt.Errorf("%w: m=%d cannot tolerate f_M=%d (need m ≥ 2f_M+1)",
+			types.ErrInvalidConfig, len(memories), faultyMemories)
 	}
-	if c.RetryDelay <= 0 {
-		c.RetryDelay = 10 * time.Millisecond
-	}
-	if c.Clock == nil {
-		c.Clock = &delayclock.Clock{}
-	}
+	return nil
 }
 
 // Outcome reports a Protected Memory Paxos decision.
@@ -220,409 +171,72 @@ type Outcome struct {
 	// Value is the decided value.
 	Value types.Value
 	// DecisionDelays is the causal delay count along the decider's own
-	// operation chain (2 for the initial leader in the common case).
+	// operation chain (2 for the initial leader in the common case). Zero
+	// when the decision was learned rather than decided by this call.
 	DecisionDelays int64
 	// Rounds is the number of proposal rounds the decider needed.
 	Rounds int
+	// Phase1 reports that the deciding round ran phase 1 — acquired write
+	// permission, published its ballot and read every slot — instead of the
+	// initial leader's single-write fast path. False when the decision was
+	// learned rather than decided by this call.
+	Phase1 bool
 }
 
-// Node is one Protected Memory Paxos participant.
+// Node is one stand-alone Protected Memory Paxos participant: a slot engine
+// pinned to the single region Layout installs, deciding instance 0.
 type Node struct {
-	cfg Config
-
-	mu          sync.Mutex
-	highestSeen types.ProposalNumber
-	firstTry    bool
-	decided     types.Value
-	hasDecided  bool
-
-	decidedCh chan struct{}
-	wg        sync.WaitGroup
-	cancel    context.CancelFunc
+	e *Engine
 }
 
-// New creates a Protected Memory Paxos participant.
+// New creates a stand-alone Protected Memory Paxos participant.
 func New(cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("protected memory paxos: %w", err)
 	}
-	cfg.applyDefaults()
-	return &Node{cfg: cfg, firstTry: true, decidedCh: make(chan struct{})}, nil
+	e, err := NewEngine(EngineConfig{
+		Self:           cfg.Self,
+		Procs:          cfg.Procs,
+		FaultyMemories: cfg.FaultyMemories,
+		Memories:       cfg.Memories,
+		Oracle:         cfg.Oracle,
+		Region:         Region,
+		InitialLeader:  cfg.InitialLeader,
+		Endpoint:       cfg.Endpoint,
+		DecideSub:      cfg.DecideSub,
+		DecideKind:     DecideKind,
+		RetryDelay:     cfg.RetryDelay,
+		Clock:          cfg.Clock,
+		Recorder:       cfg.Recorder,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Node{e: e}, nil
 }
 
 // Start launches the decision-learning loop when an endpoint was configured.
 // It is a no-op otherwise. Stop terminates it.
-func (n *Node) Start() {
-	if n.cfg.DecideSub == nil {
-		return
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	n.cancel = cancel
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case msg := <-n.cfg.DecideSub:
-				n.cfg.Clock.MergeAfterMessage(msg.Stamp)
-				n.learn(types.Value(msg.Payload))
-			}
-		}
-	}()
-}
+func (n *Node) Start() { n.e.Start() }
 
 // Stop terminates the learning loop, if any.
-func (n *Node) Stop() {
-	if n.cancel != nil {
-		n.cancel()
-	}
-	n.wg.Wait()
-}
+func (n *Node) Stop() { n.e.Stop() }
 
 // Clock returns the node's delay clock.
-func (n *Node) Clock() *delayclock.Clock { return n.cfg.Clock }
+func (n *Node) Clock() *delayclock.Clock { return n.e.Clock() }
 
 // Decided returns the learned decision, if any.
-func (n *Node) Decided() (types.Value, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.decided.Clone(), n.hasDecided
-}
+func (n *Node) Decided() (types.Value, bool) { return n.e.Decided(0) }
 
 // WaitDecision blocks until this process learns a decision (through its own
 // proposal or a decide broadcast).
 func (n *Node) WaitDecision(ctx context.Context) (types.Value, error) {
-	select {
-	case <-n.decidedCh:
-		v, _ := n.Decided()
-		return v, nil
-	case <-ctx.Done():
-		// Both channels may be ready; prefer the decision so a learner
-		// polled with an already-expired context still reports a value it
-		// has in fact learned.
-		select {
-		case <-n.decidedCh:
-			v, _ := n.Decided()
-			return v, nil
-		default:
-		}
-		return nil, fmt.Errorf("wait decision at %s: %w", n.cfg.Self, ctx.Err())
-	}
-}
-
-func (n *Node) learn(v types.Value) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.hasDecided {
-		return
-	}
-	n.decided = v.Clone()
-	n.hasDecided = true
-	close(n.decidedCh)
-	n.cfg.Recorder.Record(n.cfg.Self, trace.KindDecide, v, n.cfg.Clock.Now(), "protected memory paxos learn")
-}
-
-func (n *Node) isLeader() bool {
-	if n.cfg.Oracle == nil {
-		return true
-	}
-	return n.cfg.Oracle.Leader() == n.cfg.Self
-}
-
-// exclusivePermission is the permission a takeover installs: the acquiring
-// process becomes the only writer, everyone else keeps read access.
-func (n *Node) exclusivePermission() memsim.Permission {
-	readers := types.NewProcSet()
-	for _, p := range n.cfg.Procs {
-		if p != n.cfg.Self {
-			readers = readers.Add(p)
-		}
-	}
-	return memsim.NewPermission(readers, nil, types.NewProcSet(n.cfg.Self))
-}
-
-// memoryPhaseResult is the outcome of one memory's participation in a phase.
-type memoryPhaseResult struct {
-	mem     types.MemID
-	ok      bool // write permission held and operations acknowledged
-	preempt bool // a slot with a higher minProposal was observed
-	slots   []slot
-	stamp   delayclock.Stamp
-	err     error
+	return n.e.WaitDecision(ctx, 0)
 }
 
 // Propose runs the proposer until it decides, and returns the decision. Any
 // process may propose; resilience to process crashes is total (n ≥ f_P + 1)
 // because proposers never wait for other processes.
 func (n *Node) Propose(ctx context.Context, v types.Value) (Outcome, error) {
-	n.cfg.Recorder.Record(n.cfg.Self, trace.KindPropose, v, n.cfg.Clock.Now(), "protected memory paxos propose")
-	rounds := 0
-	for {
-		if value, ok := n.Decided(); ok {
-			return Outcome{Value: value, Rounds: rounds}, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return Outcome{}, fmt.Errorf("propose at %s: %w", n.cfg.Self, err)
-		}
-		if !n.isLeader() {
-			select {
-			case <-n.decidedCh:
-				continue
-			case <-time.After(n.cfg.RetryDelay):
-				continue
-			case <-ctx.Done():
-				return Outcome{}, fmt.Errorf("propose at %s: %w", n.cfg.Self, ctx.Err())
-			}
-		}
-		rounds++
-		out, decided, err := n.runRound(ctx, v)
-		if err != nil {
-			return Outcome{}, err
-		}
-		if decided {
-			out.Rounds = rounds
-			return out, nil
-		}
-		select {
-		case <-time.After(n.cfg.RetryDelay):
-		case <-ctx.Done():
-			return Outcome{}, fmt.Errorf("propose at %s: %w", n.cfg.Self, ctx.Err())
-		}
-	}
-}
-
-// runRound executes one proposal round (Algorithm 7's repeat body).
-func (n *Node) runRound(ctx context.Context, v types.Value) (Outcome, bool, error) {
-	start := n.cfg.Clock.Now()
-
-	n.mu.Lock()
-	ballot := n.highestSeen.Next(n.cfg.Self, n.highestSeen)
-	n.highestSeen = ballot
-	skipPhase1 := n.firstTry && n.cfg.Self == n.cfg.InitialLeader && !n.cfg.ForcePhase1
-	n.firstTry = false
-	n.mu.Unlock()
-
-	myValue := v.Clone()
-	phase2Start := start
-
-	if !skipPhase1 {
-		results, err := n.runPhase1(ctx, ballot, start)
-		if err != nil {
-			return Outcome{}, false, err
-		}
-		adopt := types.Value(nil)
-		var adoptBallot types.ProposalNumber
-		latest := start
-		preempted := false
-		for _, res := range results {
-			if !res.ok || res.preempt {
-				preempted = true
-			}
-			if res.stamp > latest {
-				latest = res.stamp
-			}
-			for _, s := range res.slots {
-				// Remember higher proposal numbers so the next round picks a
-				// larger one and eventually wins.
-				n.mu.Lock()
-				if n.highestSeen.Less(s.MinProposal) {
-					n.highestSeen = s.MinProposal
-				}
-				n.mu.Unlock()
-				if !s.AccProposal.IsZero() && !s.Value.Bottom() && adoptBallot.Less(s.AccProposal) {
-					adoptBallot = s.AccProposal
-					adopt = s.Value.Clone()
-				}
-			}
-		}
-		if preempted {
-			return Outcome{}, false, nil // write permission lost, nak, or a higher proposal observed
-		}
-		if !adopt.Bottom() {
-			myValue = adopt
-		}
-		phase2Start = latest
-	}
-
-	completed, ok, err := n.runPhase2(ctx, ballot, myValue, phase2Start)
-	if err != nil {
-		return Outcome{}, false, err
-	}
-	if !ok {
-		return Outcome{}, false, nil
-	}
-
-	delays := int64(completed - start)
-	n.cfg.Recorder.Record(n.cfg.Self, trace.KindDecide, myValue, n.cfg.Clock.Now(),
-		"protected memory paxos decision in %d delays (ballot %s)", delays, ballot)
-	n.learn(myValue)
-	n.broadcastDecision(myValue)
-	return Outcome{Value: myValue, DecisionDelays: delays}, true, nil
-}
-
-// runPhase1 acquires exclusive write permission on each memory, publishes the
-// new proposal number in the proposer's slot and reads every slot. It waits
-// for m − f_M memories to complete and returns their results.
-func (n *Node) runPhase1(ctx context.Context, ballot types.ProposalNumber, invoked delayclock.Stamp) ([]memoryPhaseResult, error) {
-	opCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan memoryPhaseResult, len(n.cfg.Memories))
-	for _, mem := range n.cfg.Memories {
-		go func(mem *memsim.Memory) {
-			results <- n.phase1OnMemory(opCtx, mem, ballot, invoked)
-		}(mem)
-	}
-	return n.collect(ctx, results)
-}
-
-func (n *Node) phase1OnMemory(ctx context.Context, mem *memsim.Memory, ballot types.ProposalNumber, invoked delayclock.Stamp) memoryPhaseResult {
-	res := memoryPhaseResult{mem: mem.ID()}
-
-	stamp, err := mem.ChangePermission(ctx, n.cfg.Self, n.cfg.Region, n.exclusivePermission(), invoked)
-	if err != nil {
-		res.err = err
-		return res
-	}
-	n.cfg.Clock.Merge(stamp)
-	n.cfg.Recorder.Record(n.cfg.Self, trace.KindPermissionChange, nil, stamp, "acquired write permission on %s", mem.ID())
-
-	blob, err := (slot{MinProposal: ballot}).encode()
-	if err != nil {
-		res.err = err
-		return res
-	}
-	stamp, err = mem.Write(ctx, n.cfg.Self, n.cfg.Region, slotRegister(n.cfg.Self), blob, stamp)
-	if err != nil {
-		if errors.Is(err, types.ErrNak) {
-			res.err = nil // permission already stolen again: treated as preemption
-			return res
-		}
-		res.err = err
-		return res
-	}
-	n.cfg.Clock.Merge(stamp)
-
-	// Read every process's slot on this memory, in parallel (one round trip).
-	type readResult struct {
-		s     slot
-		ok    bool
-		stamp delayclock.Stamp
-		err   error
-	}
-	reads := make(chan readResult, len(n.cfg.Procs))
-	// Snapshot the post-write stamp: the collector below keeps advancing
-	// `stamp`, and the read goroutines must not observe those writes (they
-	// are all invoked at the same causal point, right after the write).
-	readStamp := stamp
-	for _, q := range n.cfg.Procs {
-		go func(q types.ProcID) {
-			raw, rstamp, rerr := mem.Read(ctx, n.cfg.Self, n.cfg.Region, slotRegister(q), readStamp)
-			if rerr != nil {
-				reads <- readResult{err: rerr}
-				return
-			}
-			s, ok := decodeSlot(raw)
-			reads <- readResult{s: s, ok: ok, stamp: rstamp}
-		}(q)
-	}
-	for range n.cfg.Procs {
-		r := <-reads
-		if r.err != nil {
-			res.err = r.err
-			return res
-		}
-		n.cfg.Clock.Merge(r.stamp)
-		if r.stamp > stamp {
-			stamp = r.stamp
-		}
-		if !r.ok {
-			continue
-		}
-		if ballot.Less(r.s.MinProposal) {
-			res.preempt = true
-		}
-		res.slots = append(res.slots, r.s)
-	}
-	res.ok = true
-	res.stamp = stamp
-	return res
-}
-
-// runPhase2 writes the accepted proposal to the proposer's slot on every
-// memory and waits for m − f_M acknowledgements. A nak on any completed
-// memory means another leader took the permission, so the round is preempted.
-func (n *Node) runPhase2(ctx context.Context, ballot types.ProposalNumber, value types.Value, invoked delayclock.Stamp) (delayclock.Stamp, bool, error) {
-	blob, err := (slot{MinProposal: ballot, AccProposal: ballot, Value: value}).encode()
-	if err != nil {
-		return invoked, false, err
-	}
-	opCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan memoryPhaseResult, len(n.cfg.Memories))
-	for _, mem := range n.cfg.Memories {
-		go func(mem *memsim.Memory) {
-			stamp, werr := mem.Write(opCtx, n.cfg.Self, n.cfg.Region, slotRegister(n.cfg.Self), blob, invoked)
-			res := memoryPhaseResult{mem: mem.ID(), stamp: stamp}
-			switch {
-			case werr == nil:
-				res.ok = true
-				n.cfg.Clock.Merge(stamp)
-			case errors.Is(werr, types.ErrNak):
-				res.ok = false
-			default:
-				res.err = werr
-			}
-			results <- res
-		}(mem)
-	}
-	collected, err := n.collect(ctx, results)
-	if err != nil {
-		return invoked, false, err
-	}
-	completed := invoked
-	for _, res := range collected {
-		if !res.ok {
-			return invoked, false, nil
-		}
-		if res.stamp > completed {
-			completed = res.stamp
-		}
-	}
-	return completed, true, nil
-}
-
-// collect waits for m − f_M phase results (errors other than naks, such as a
-// crashed memory hanging, do not count toward the quorum).
-func (n *Node) collect(ctx context.Context, results <-chan memoryPhaseResult) ([]memoryPhaseResult, error) {
-	quorum := len(n.cfg.Memories) - n.cfg.FaultyMemories
-	collected := make([]memoryPhaseResult, 0, quorum)
-	received := 0
-	for received < len(n.cfg.Memories) {
-		select {
-		case res := <-results:
-			received++
-			if res.err != nil {
-				continue
-			}
-			collected = append(collected, res)
-			if len(collected) >= quorum {
-				return collected, nil
-			}
-		case <-ctx.Done():
-			return nil, fmt.Errorf("protected memory paxos at %s: %w", n.cfg.Self, ctx.Err())
-		}
-	}
-	return nil, fmt.Errorf("protected memory paxos at %s: only %d of %d memories responded (need %d): %w",
-		n.cfg.Self, len(collected), len(n.cfg.Memories), quorum, types.ErrMemoryCrashed)
-}
-
-// broadcastDecision tells the other processes about the decision, if a
-// network endpoint was configured.
-func (n *Node) broadcastDecision(v types.Value) {
-	if n.cfg.Endpoint == nil {
-		return
-	}
-	_ = n.cfg.Endpoint.Broadcast(n.cfg.DecideKind, v, n.cfg.Clock.Now())
+	return n.e.Propose(ctx, 0, v, false)
 }

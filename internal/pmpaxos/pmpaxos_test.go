@@ -286,15 +286,11 @@ func TestSlotEncoding(t *testing.T) {
 		AccProposal: types.ProposalNumber{Round: 2, Proposer: 1},
 		Value:       types.Value("v"),
 	}
-	blob, err := s.encode()
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	dec, ok := decodeSlot(blob)
+	dec, ok := decodeSlot(s.encode())
 	if !ok {
 		t.Fatalf("decode failed")
 	}
-	if !dec.MinProposal.Equal(s.MinProposal) || !dec.Value.Equal(s.Value) {
+	if !dec.MinProposal.Equal(s.MinProposal) || !dec.AccProposal.Equal(s.AccProposal) || !dec.Value.Equal(s.Value) {
 		t.Fatalf("round trip mismatch: %+v", dec)
 	}
 	if _, ok := decodeSlot(nil); ok {

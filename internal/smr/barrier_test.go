@@ -5,8 +5,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"rdmaagreement/internal/core"
 )
 
 // TestBarrierFlushesCommittedPrefix pins Barrier's contract: when it returns,
@@ -38,7 +36,7 @@ func TestBarrierFlushesCommittedPrefix(t *testing.T) {
 
 // TestBarrierAfterClose pins the lifecycle error.
 func TestBarrierAfterClose(t *testing.T) {
-	l := newTestLog(t, testOptions(core.ProtocolProtectedMemoryPaxos))
+	l := newTestLog(t, testOptions())
 	l.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -89,7 +87,7 @@ func TestLocalReadPrefersLeaseHolderThenApplied(t *testing.T) {
 // normalization: a live group reports its adaptive depth, a closed one
 // reports 0 so that cross-group minimum aggregations can skip it.
 func TestClosedLogReportsZeroPipelineDepth(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.Pipeline = 4
 	l, err := NewLog(opts)
 	if err != nil {

@@ -7,14 +7,12 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"rdmaagreement/internal/core"
 )
 
 // leaseTestOptions is a 3-process Protected Memory Paxos group with
 // time-bounded leases enabled.
 func leaseTestOptions(duration time.Duration) Options {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.Cluster.LeaseDuration = duration
 	return opts
 }
@@ -74,7 +72,7 @@ func TestLeaseReadServesLocally(t *testing.T) {
 // default), linearizable reads keep paying the read-index barrier and are
 // counted as barrier reads.
 func TestBarrierReadWithoutLease(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = newTestSM
 	l := newTestLog(t, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -294,7 +292,7 @@ func TestLeaseFailoverMidPipeline(t *testing.T) {
 // halve the live depth (surfaced in Stats), and a streak of clean commits
 // must restore it to Options.Pipeline.
 func TestAdaptivePipelineBacksOff(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.Pipeline = 4
 	opts.SlotTimeout = 300 * time.Millisecond
 	l := newTestLog(t, opts)

@@ -125,14 +125,17 @@ type SizeStats struct {
 	Max   float64
 }
 
+// sizeOf reads quantiles through the histogram's integer path: a batch size
+// is a count, so a quantile is the bucket's bound, not an interpolation that
+// truncates 1-command batches to 0.
 func sizeOf(h *metrics.Histogram) SizeStats {
 	s := h.Snapshot()
 	return SizeStats{
 		Count: s.Count,
-		Mean:  float64(s.Mean()),
-		P50:   float64(s.Quantile(0.50)),
-		P90:   float64(s.Quantile(0.90)),
-		P99:   float64(s.Quantile(0.99)),
+		Mean:  float64(s.Sum) / float64(max(s.Count, 1)),
+		P50:   float64(s.QuantileBound(0.50)),
+		P90:   float64(s.QuantileBound(0.90)),
+		P99:   float64(s.QuantileBound(0.99)),
 		Max:   float64(s.Max),
 	}
 }

@@ -163,8 +163,8 @@ func TestMetricsSharedRegistry(t *testing.T) {
 // TestMetricsPrivateRegistryByDefault pins the default: without
 // Options.Metrics each group gets its own registry.
 func TestMetricsPrivateRegistryByDefault(t *testing.T) {
-	a := newTestLog(t, testOptions(core.ProtocolProtectedMemoryPaxos))
-	b := newTestLog(t, testOptions(core.ProtocolProtectedMemoryPaxos))
+	a := newTestLog(t, testOptions())
+	b := newTestLog(t, testOptions())
 	if a.Registry() == b.Registry() {
 		t.Fatal("default registries must be private per group")
 	}
@@ -184,7 +184,7 @@ func TestMetricsPrivateRegistryByDefault(t *testing.T) {
 // TestMetricsBarriersNotCounted pins that read barriers are queue traffic
 // (gauge) but not command traffic (Enqueued / stage histograms).
 func TestMetricsBarriersNotCounted(t *testing.T) {
-	l := newTestLog(t, testOptions(core.ProtocolProtectedMemoryPaxos))
+	l := newTestLog(t, testOptions())
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if _, err := l.Barrier(ctx); err != nil {

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"rdmaagreement/internal/core"
 )
 
 // TestPipelinedCommitOrder drives many single-command batches through a
@@ -24,7 +22,7 @@ import (
 func TestPipelinedCommitOrder(t *testing.T) {
 	var commitMu sync.Mutex
 	var committed []Entry
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.Pipeline = 4
 	opts.MaxBatch = 1
 	// A little memory latency keeps several slots genuinely in flight (and
@@ -133,7 +131,7 @@ func TestPipelinedCommitOrder(t *testing.T) {
 // Read issued after a Propose returned always observes that command even
 // with several later slots in flight.
 func TestPipelinedReadBarriers(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.Pipeline = 4
 	opts.MaxBatch = 1
 	opts.Cluster.MemoryLatency = time.Millisecond
@@ -176,52 +174,6 @@ func TestPipelinedReadBarriers(t *testing.T) {
 	}
 	stopBG()
 	bgWG.Wait()
-}
-
-// TestPipelineOverMessagePassingProtocols exercises per-slot state of the
-// message-passing baselines under concurrent instances: pipelined commits
-// over Paxos and Fast Paxos must stay gap-free with agreeing replicas.
-func TestPipelineOverMessagePassingProtocols(t *testing.T) {
-	for _, protocol := range []core.Protocol{core.ProtocolPaxos, core.ProtocolFastPaxos} {
-		protocol := protocol
-		t.Run(string(protocol), func(t *testing.T) {
-			opts := testOptions(protocol)
-			opts.Pipeline = 4
-			opts.MaxBatch = 1
-			l := newTestLog(t, opts)
-			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-			defer cancel()
-
-			const clients = 4
-			const perClient = 4
-			var wg sync.WaitGroup
-			for c := 0; c < clients; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					for k := 0; k < perClient; k++ {
-						if _, _, err := l.Propose(ctx, []byte(fmt.Sprintf("c%d/%d", c, k))); err != nil {
-							t.Errorf("Propose(c%d/%d): %v", c, k, err)
-							return
-						}
-					}
-				}(c)
-			}
-			wg.Wait()
-			if t.Failed() {
-				t.FailNow()
-			}
-			if l.Len() != clients*perClient {
-				t.Fatalf("Len() = %d, want %d", l.Len(), clients*perClient)
-			}
-			for _, p := range l.Cluster().Procs {
-				replicaLog, ok := l.ReplicaLog(p)
-				if !ok || len(replicaLog) != clients*perClient {
-					t.Fatalf("replica %s learned %d commands (gap-free=%v), want %d", p, len(replicaLog), ok, clients*perClient)
-				}
-			}
-		})
-	}
 }
 
 // countingSM counts applied entries and reports the count to queries.

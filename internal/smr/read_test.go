@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"rdmaagreement/internal/core"
 	"rdmaagreement/internal/types"
 )
 
@@ -40,7 +39,7 @@ func follower(t *testing.T, l *Log) types.ProcID {
 // the wait-for-apply step make a follower's answer as current as the
 // leader's. Run under the race detector in CI.
 func TestLinearizableReadFromFollower(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = newTestSM
 	l := newTestLog(t, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -66,7 +65,7 @@ func TestLinearizableReadFromFollower(t *testing.T) {
 // after the writer finished must see the final value. Run under the race
 // detector in CI.
 func TestLinearizableReadConcurrent(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = newTestSM
 	l := newTestLog(t, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -127,7 +126,7 @@ func TestLinearizableReadConcurrent(t *testing.T) {
 // checks the contrast the API promises: StaleRead on the lagging replica
 // serves its old local state while a linearizable Read observes the write.
 func TestStaleReadMayLagReadMustNot(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = newTestSM
 	opts.SnapshotInterval = -1 // keep the victim un-restored so its staleness is visible
 	opts.ReplicaCatchUp = 300 * time.Millisecond
@@ -164,7 +163,7 @@ func TestLifecycleErrors(t *testing.T) {
 	defer cancel()
 
 	t.Run("closed", func(t *testing.T) {
-		opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+		opts := testOptions()
 		opts.NewSM = newTestSM
 		l, err := NewLog(opts)
 		if err != nil {
@@ -191,7 +190,7 @@ func TestLifecycleErrors(t *testing.T) {
 	t.Run("close-in-flight", func(t *testing.T) {
 		// A command caught mid-commit by Close is a clean shutdown: its
 		// waiter must see ErrClosed (or success), never ErrHalted.
-		opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+		opts := testOptions()
 		opts.NewSM = newTestSM
 		opts.Cluster.MemoryLatency = 20 * time.Millisecond
 		l, err := NewLog(opts)
@@ -211,7 +210,7 @@ func TestLifecycleErrors(t *testing.T) {
 	})
 
 	t.Run("halted", func(t *testing.T) {
-		opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+		opts := testOptions()
 		opts.NewSM = newTestSM
 		opts.SlotTimeout = 200 * time.Millisecond
 		l := newTestLog(t, opts)
@@ -241,7 +240,7 @@ func TestLifecycleErrors(t *testing.T) {
 // TestReadNotQueryable plugs in a state machine without Querier and checks
 // that every read path reports ErrNotQueryable instead of guessing.
 func TestReadNotQueryable(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = func() StateMachine { return rawSM{} }
 	l := newTestLog(t, opts)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"rdmaagreement/internal/core"
 )
 
 // TestRecoveryDisplacedCommand stages the ambiguous-slot scenario the
@@ -19,7 +17,7 @@ import (
 // never became durable (the no-op wins the slot), and the displaced command
 // lands at a later slot — exactly once.
 func TestRecoveryDisplacedCommand(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.SlotTimeout = 300 * time.Millisecond
 	l := newTestLog(t, opts)
 	pool := l.Cluster().Pool
@@ -84,7 +82,7 @@ func TestRecoveryDisplacedCommand(t *testing.T) {
 // recovery so the recovery quorum provably includes the memory holding the
 // value (the protocol tolerates f_M = 1 crashed memory).
 func TestRecoveryAdoptsPersistedValue(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.SlotTimeout = 300 * time.Millisecond
 	l := newTestLog(t, opts)
 	mems := l.Cluster().Pool.Memories()
@@ -135,7 +133,7 @@ func TestRecoveryAdoptsPersistedValue(t *testing.T) {
 // halt (recovery resolves transient stalls; it must not spin forever on a
 // permanent one).
 func TestHaltWhenRecoveryCannotResolve(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.SlotTimeout = 150 * time.Millisecond
 	l := newTestLog(t, opts)
 	l.Cluster().Pool.CrashQuorumSafe(3)
@@ -166,7 +164,7 @@ func TestHaltWhenRecoveryCannotResolve(t *testing.T) {
 // slot 1's halt reaches the dispatcher while slot 0's success is still in
 // flight.
 func TestHaltCommitsDecidedPrefix(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.Pipeline = 2
 	opts.MaxBatch = 1
 	opts.SlotTimeout = 200 * time.Millisecond

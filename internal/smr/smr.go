@@ -4,11 +4,12 @@
 // pluggable StateMachine consumes the decided log.
 //
 // The paper's protocols decide a single value per deployment; serving real
-// traffic needs a log of decisions. A Log owns one core.Cluster and
-// multiplexes slots over its shared memories and network via
-// core.Cluster.NewInstance, so committing entry k+1 reuses every substrate
-// that committed entry k — no per-entry cluster construction, no per-entry
-// memory pools, no per-entry network goroutines.
+// traffic needs a log of decisions. A Log owns one Protected Memory Paxos
+// core.Cluster and runs every slot through the cluster's long-lived slot
+// engines (core.Cluster.Engine, one per process), so committing entry k+1
+// reuses every substrate that committed entry k — no per-entry cluster,
+// node, subscription or learner goroutine: a slot is a map entry in each
+// engine, keyed by its index, and one memory region per memory.
 //
 // Commands submitted concurrently are batched: a committer goroutine drains
 // the queue and agrees on many commands as one slot value, so slot throughput
@@ -17,7 +18,7 @@
 // submits its commands in order observes them committed in order.
 //
 // Slot agreement is pipelined: up to Options.Pipeline batches run their slots
-// concurrently, each on its own consensus instance, so log throughput is
+// concurrently, each at its own slot index, so log throughput is
 // bounded by the memory fabric rather than by sequential slot latency. A
 // reorder buffer applies decided slots to the StateMachine strictly in slot
 // order, so commit order stays gap-free and every prefix-derived artifact
@@ -57,22 +58,19 @@ package smr
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
 	"rdmaagreement/internal/core"
 	"rdmaagreement/internal/metrics"
+	"rdmaagreement/internal/pmpaxos"
 	"rdmaagreement/internal/trace"
 	"rdmaagreement/internal/types"
 )
 
 // Options configure a Log.
 type Options struct {
-	// Protocol is the agreement protocol run per slot. It must be one of the
-	// slot-capable protocols (Protected Memory Paxos, Paxos, Fast Paxos).
-	// Empty means Protected Memory Paxos, the paper's 2-deciding crash
-	// algorithm.
-	Protocol core.Protocol
 	// Cluster describes the long-lived cluster (topology, failure bounds,
 	// timing).
 	Cluster core.Options
@@ -113,8 +111,8 @@ type Options struct {
 	// away, the pre-adaptive behavior.
 	BatchWait time.Duration
 	// Pipeline is the maximum number of slots the committer keeps in flight
-	// concurrently. Each in-flight slot runs on its own consensus instance
-	// over the shared cluster, so slot agreement latency overlaps instead of
+	// concurrently. Each in-flight slot runs at its own slot index on the
+	// shared engines, so slot agreement latency overlaps instead of
 	// serializing; a reorder buffer still applies decided slots to the
 	// StateMachine strictly in slot order, so commit order stays gap-free
 	// and responses, read barriers, snapshots and slot GC are all keyed to
@@ -157,9 +155,6 @@ type Options struct {
 }
 
 func (o *Options) applyDefaults() {
-	if o.Protocol == "" {
-		o.Protocol = core.ProtocolProtectedMemoryPaxos
-	}
 	if o.SnapshotInterval == 0 {
 		if o.NewSM != nil {
 			o.SnapshotInterval = 1024
@@ -367,22 +362,14 @@ func nextOrigin() uint64 {
 // starts the committer.
 func NewLog(opts Options) (*Log, error) {
 	opts.applyDefaults()
-	// The log drives only per-slot instances; skip the cluster's single-shot
+	// The log drives only the slot engines; skip the cluster's single-shot
 	// proposer nodes so a group does not carry idle base nodes for its
 	// lifetime.
 	opts.Cluster.InstancesOnly = true
-	cluster, err := core.NewCluster(opts.Protocol, opts.Cluster)
+	cluster, err := core.NewCluster(core.ProtocolProtectedMemoryPaxos, opts.Cluster)
 	if err != nil {
 		return nil, fmt.Errorf("smr log: %w", err)
 	}
-	// Fail fast if the protocol cannot multiplex slots: build and discard a
-	// probe instance rather than failing on the first Propose.
-	probe, err := cluster.NewInstance(0)
-	if err != nil {
-		cluster.Close()
-		return nil, fmt.Errorf("smr log: %w", err)
-	}
-	probe.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	l := &Log{
@@ -894,6 +881,15 @@ func (l *Log) Stats() Stats {
 type SlotDecider struct {
 	Proposer types.ProcID
 	Epoch    uint64
+	// Delays is the paper's causal delay count of the deciding proposal
+	// (Theorem 5.1: 2 for the lease holder's fast path). Zero when the
+	// proposer already knew the decision and ran no round of its own.
+	Delays int64
+	// Phase1 reports that the deciding round ran phase 1 (a permission
+	// steal plus reads) instead of the single-write fast path. Recovery and
+	// epoch-fencing proposals always do, unless their proposer had already
+	// learned the decision (then Delays is zero as well).
+	Phase1 bool
 }
 
 // DeciderOf reports who decided the given slot, for slots still inside the
@@ -1022,8 +1018,7 @@ type slotOutcome struct {
 	slot      uint64
 	decided   types.Value
 	w         work
-	proposer  types.ProcID
-	epoch     uint64
+	decider   SlotDecider
 	recovered bool
 	fenced    bool
 	decidedAt time.Time // when the worker finished (CommitWait span starts here)
@@ -1033,7 +1028,7 @@ type slotOutcome struct {
 // commitLoop is the committer's dispatcher: it drains the queue into batches
 // (adaptively coalesced up to the byte/count budgets and the BatchWait
 // horizon), keeps up to Options.Pipeline slots in flight — each driven end to
-// end by its own worker goroutine over its own consensus instance — and
+// end by its own worker goroutine at its own slot index — and
 // forwards the decided slots in slot order, through a reorder buffer, to the
 // group's applier goroutine. Commit order therefore stays gap-free even when
 // slot agreements complete out of order, and every prefix-derived artifact
@@ -1289,6 +1284,7 @@ func (l *Log) commitLoop(ctx context.Context) {
 			// buffer. The reorder buffer is epoch-agnostic: slots decided
 			// under different lease epochs interleave through it unchanged,
 			// which is what carries the pipeline cleanly across a takeover.
+			forwarded := false
 			for {
 				r, ok := reorder[nextApply]
 				if !ok {
@@ -1298,6 +1294,17 @@ func (l *Log) commitLoop(ctx context.Context) {
 				l.m.reorder.Add(-1)
 				nextApply++
 				applyCh <- r
+				forwarded = true
+			}
+			if forwarded {
+				// Let the applier, and the callers whose commands it just
+				// resolved, run before the pipeline is refilled: their next
+				// commands then join one batch. Refilling first hands the
+				// freed slot to whichever caller re-enqueues first, alone,
+				// and the rest of that batch's callers queue for a whole
+				// slot time — with 64 closed-loop callers at 2ms memory
+				// latency, most slots carried a single command.
+				runtime.Gosched()
 			}
 		}
 	}
@@ -1325,7 +1332,7 @@ func (l *Log) applyLoop(in <-chan slotOutcome, failedOut chan<- error, done chan
 		// the in-order commit step itself.
 		l.m.commitWait.Observe(time.Since(r.decidedAt))
 		applyStart := time.Now()
-		won, err := l.recordSlot(r.slot, r.decided, r.w.batch, SlotDecider{Proposer: r.proposer, Epoch: r.epoch})
+		won, err := l.recordSlot(r.slot, r.decided, r.w.batch, r.decider)
 		if err != nil {
 			failed = err
 			failedOut <- err
@@ -1494,21 +1501,15 @@ func (l *Log) commitSlot(ctx context.Context, slot uint64, w work) slotOutcome {
 	blob := encodeBatchFrom(l.origin, w.batch)
 
 	holder, epoch, epochCtx := l.leaseView()
-	inst, err := l.cluster.NewInstance(slot)
-	if err != nil {
-		out.err = fmt.Errorf("smr slot %d: %w", slot, err)
-		return out
-	}
 	// The attempt runs fenced by its epoch: a takeover cancels it mid-flight
 	// so a deposed holder's proposal cannot decide after its epoch ended —
 	// the recovery path below then re-runs the slot from the new holder,
 	// whose phase-1 permission steal makes the fence durable in the memories.
 	runCtx, stopFence := fenceContext(ctx, epochCtx)
-	decided, err := l.runSlot(runCtx, inst, holder, blob)
+	res, err := l.runSlot(runCtx, slot, holder, blob, false)
 	stopFence()
-	inst.Close()
 	if err == nil {
-		out.decided, out.proposer, out.epoch = decided, holder, epoch
+		out.decided, out.decider = res.Value, newDecider(holder, epoch, res)
 		return out
 	}
 	if ctx.Err() != nil {
@@ -1525,13 +1526,18 @@ func (l *Log) commitSlot(ctx context.Context, slot uint64, w work) slotOutcome {
 	// skipping the slot would commit a gap. Run a recovery round to learn
 	// the slot's true fate instead of halting the group.
 	out.fenced = epochCtx.Err() != nil
-	decided, by, repoch, rerr := l.recoverSlot(ctx, slot, blob, holder)
+	decided, by, rerr := l.recoverSlot(ctx, slot, blob, holder)
 	if rerr != nil {
 		out.err = fmt.Errorf("smr slot %d: ambiguous outcome (%v) and recovery failed: %w", slot, err, rerr)
 		return out
 	}
-	out.decided, out.proposer, out.epoch, out.recovered = decided, by, repoch, true
+	out.decided, out.decider, out.recovered = decided, by, true
 	return out
+}
+
+// newDecider records who decided a slot, under which epoch and how.
+func newDecider(proposer types.ProcID, epoch uint64, res pmpaxos.Outcome) SlotDecider {
+	return SlotDecider{Proposer: proposer, Epoch: epoch, Delays: res.DecisionDelays, Phase1: res.Phase1}
 }
 
 // recoveryAttempts bounds how many recovery rounds a worker runs for one
@@ -1550,24 +1556,14 @@ const epochRetryBound = 8
 
 // recoverSlot learns the fate of a slot whose agreement attempt timed out.
 // It re-runs the slot from a recovery proposer — a replica other than the
-// regular leader — with a no-op value: the protocol's phase-1 adoption then
-// yields the original batch if it persisted in the slot's state (the no-op
-// is refused), and decides the no-op otherwise, proving the original batch
-// lost the slot so the dispatcher can retry it later without double-commit
-// risk.
-//
-// How much of the original attempt the recovery round can see is
-// per-backend. Protected Memory Paxos keeps the slot's state in the shared
-// memories, which the recovery instance reuses: a persisted original batch
-// IS adopted, and the recovery proposer's permission acquisition fences any
-// still-in-flight write of the original attempt. The message-passing
-// backends (Paxos, Fast Paxos) keep acceptor state inside the instance's
-// nodes, which closing the failed instance discards — their recovery always
-// decides the no-op and displaces the batch, never the refused fate. That
-// is still exactly-once safe for every backend: a failed Propose never
-// broadcast a decision (the protocols decide before disseminating), so no
-// learner view can have observed the original attempt, and whatever the
-// recovery round decides is the slot's first observable outcome.
+// regular leader — with a no-op value, at the same slot index on that
+// process's engine with forcePhase1: the phase-1 permission steal fences any
+// still-in-flight write of the original attempt, and phase-1 adoption yields
+// the original batch if it persisted in the slot's memory registers (the
+// no-op is refused), and decides the no-op otherwise, proving the original
+// batch lost the slot so the dispatcher can retry it later without
+// double-commit risk. If the recovery proposer has already learned the
+// slot's decision, that decision is the slot's fate and no round runs.
 //
 // On a single-process group there is no other replica to propose from, so
 // the original batch itself is re-proposed: re-deciding the identical value
@@ -1581,12 +1577,12 @@ const epochRetryBound = 8
 // it had already persisted, so no committed entry is ever lost to a
 // failover. Each attempt re-reads the lease, so a takeover mid-recovery
 // moves the round to the newest holder.
-func (l *Log) recoverSlot(ctx context.Context, slot uint64, originalBlob types.Value, originalProposer types.ProcID) (types.Value, types.ProcID, uint64, error) {
+func (l *Log) recoverSlot(ctx context.Context, slot uint64, originalBlob types.Value, originalProposer types.ProcID) (types.Value, SlotDecider, error) {
 	var lastErr error
 	epochRetries := 0
 	for attempt := 0; attempt < recoveryAttempts; {
 		if err := ctx.Err(); err != nil {
-			return nil, types.NoProcess, 0, err
+			return nil, SlotDecider{}, err
 		}
 		holder, epoch, epochCtx := l.leaseView()
 		proposer := l.recoveryProposer(holder, originalProposer)
@@ -1595,26 +1591,21 @@ func (l *Log) recoverSlot(ctx context.Context, slot uint64, originalBlob types.V
 			blob = (wireBatch{}).encode()
 			noop = true
 		}
-		inst, err := l.cluster.NewRecoveryInstance(slot, proposer)
-		if err != nil {
-			return nil, types.NoProcess, 0, err
-		}
 		runCtx, stopFence := fenceContext(ctx, epochCtx)
-		decided, err := l.runSlot(runCtx, inst, proposer, blob)
+		res, err := l.runSlot(runCtx, slot, proposer, blob, true)
 		stopFence()
-		inst.Close()
 		if err == nil {
-			refused := l.noteRecovery(decided, noop)
+			refused := l.noteRecovery(res.Value, noop)
 			l.traceEvent(proposer, trace.KindRecover,
 				"slot %d recovered by %s under epoch %d (noop=%v)", slot, proposer, epoch, noop)
 			if refused {
 				l.traceEvent(proposer, trace.KindRefusedNoOp,
 					"slot %d refused the recovery no-op: original batch had persisted", slot)
 			}
-			return decided, proposer, epoch, nil
+			return res.Value, newDecider(proposer, epoch, res), nil
 		}
 		if ctx.Err() != nil {
-			return nil, types.NoProcess, 0, err
+			return nil, SlotDecider{}, err
 		}
 		if epochCtx.Err() != nil && epochRetries < epochRetryBound {
 			// Fenced by yet another takeover, not failed: re-run under the
@@ -1625,7 +1616,7 @@ func (l *Log) recoverSlot(ctx context.Context, slot uint64, originalBlob types.V
 		attempt++
 		lastErr = err
 	}
-	return nil, types.NoProcess, 0, lastErr
+	return nil, SlotDecider{}, lastErr
 }
 
 // recoveryProposer picks the process that re-runs an ambiguous slot: the
@@ -1695,51 +1686,49 @@ func (l *Log) resolveBarriers(barriers []queued) {
 	}
 }
 
-// runSlot drives one consensus instance over the long-lived cluster: the
-// given process proposes (the cluster leader on the regular path, another
-// replica on the recovery path) and every other process learns. The caller
-// owns the instance's lifecycle.
-func (l *Log) runSlot(ctx context.Context, inst *core.Instance, proposer types.ProcID, blob types.Value) (types.Value, error) {
+// runSlot drives one slot on the long-lived engines: the given process
+// proposes (the lease holder on the regular path, forcePhase1 on the
+// recovery and fencing path) and every other process learns.
+func (l *Log) runSlot(ctx context.Context, slot uint64, proposer types.ProcID, blob types.Value, forcePhase1 bool) (pmpaxos.Outcome, error) {
 	slotCtx, cancel := context.WithTimeout(ctx, l.opts.SlotTimeout)
 	defer cancel()
 
-	res, err := inst.Proposer(proposer).Propose(slotCtx, blob)
+	res, err := l.cluster.Engine(proposer).Propose(slotCtx, slot, blob, forcePhase1)
 	if err != nil {
-		return nil, fmt.Errorf("smr slot %d: %w", inst.Slot, err)
+		return pmpaxos.Outcome{}, fmt.Errorf("smr slot %d: %w", slot, err)
 	}
-	l.recordReplica(proposer, inst.Slot, res.Value)
-	l.awaitLearners(ctx, inst, proposer)
-	return res.Value, nil
+	l.recordReplica(proposer, slot, res.Value)
+	l.awaitLearners(ctx, slot, proposer)
+	return res, nil
 }
 
-// awaitLearners waits — in parallel, under one shared budget — for the
-// non-proposing replicas to learn the slot's decision, so every replica's
+// awaitLearners waits — under one shared budget — for the non-proposing
+// replicas to learn the slot's decision, so every replica's
 // log advances in near lock step. A replica that misses its window (for
 // example a crashed process) is marked lagging and never waited for again:
 // otherwise a single crashed replica — the very fault the protocols tolerate
 // — would cost the full catch-up timeout on EVERY subsequent slot. Lagging
 // replicas show the gap in ReplicaLog and catch up off the hot path — from
 // the next snapshot once their missed slots are truncated.
-func (l *Log) awaitLearners(ctx context.Context, inst *core.Instance, proposer types.ProcID) {
+//
+// The replicas are waited for one after another: they all learn from the
+// same decide broadcast, and a replica whose decide already arrived answers
+// even once the budget is spent, so the sequential wait costs no more than a
+// parallel one and starts no goroutines.
+func (l *Log) awaitLearners(ctx context.Context, slot uint64, proposer types.ProcID) {
 	catchUp, cancel := context.WithTimeout(ctx, l.opts.ReplicaCatchUp)
 	defer cancel()
-	var wg sync.WaitGroup
 	for _, p := range l.cluster.Procs {
 		if p == proposer || l.isLagging(p) {
 			continue
 		}
-		wg.Add(1)
-		go func(p types.ProcID) {
-			defer wg.Done()
-			v, err := inst.Proposer(p).WaitDecision(catchUp)
-			if err != nil {
-				l.markLagging(p)
-				return
-			}
-			l.recordReplica(p, inst.Slot, v)
-		}(p)
+		v, err := l.cluster.Engine(p).WaitDecision(catchUp, slot)
+		if err != nil {
+			l.markLagging(p)
+			continue
+		}
+		l.recordReplica(p, slot, v)
 	}
-	wg.Wait()
 }
 
 func (l *Log) isLagging(p types.ProcID) bool {
@@ -1756,9 +1745,9 @@ func (l *Log) markLagging(p types.ProcID) {
 
 // recordReplica stores the slot value replica p learned and advances p's
 // state machine through every consecutively-learned slot. The decided value
-// is retained as handed in — the protocol substrate returns a private copy
-// per read — and the entries applied to the view alias it, per the
-// StateMachine read-only contract on Entry.Cmd.
+// is retained as handed in — decided values are immutable: the engines share
+// them, never modify them — and the entries applied to the view alias it,
+// per the StateMachine read-only contract on Entry.Cmd.
 func (l *Log) recordReplica(p types.ProcID, slot uint64, v types.Value) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1793,8 +1782,8 @@ func (l *Log) recordReplica(p types.ProcID, slot uint64, v types.Value) {
 // whether the proposed batch won the slot.
 //
 // Called only from the applier goroutine. The decided value is retained
-// as-is — the protocol substrate hands back a private copy — and the log's
-// entries alias subslices of it: decided values are immutable, the slot
+// as-is and the log's entries alias subslices of it: decided values are
+// immutable (the proposer's engine shares this very slice), the slot
 // window retains the backing array, and StateMachine.Apply/OnCommit must
 // treat Entry.Cmd as read-only. Get/Entries still clone outward.
 func (l *Log) recordSlot(slot uint64, decided types.Value, batch []queued, by SlotDecider) (bool, error) {
@@ -2019,7 +2008,5 @@ func (l *Log) truncateLocked() (releaseFrom, lastSlot uint64) {
 // l.mu: truncation is already decided, the regions are never read again, and
 // memsim has its own locking.
 func (l *Log) releaseSlots(from, through uint64) {
-	for slot := from; slot <= through; slot++ {
-		l.cluster.ReleaseInstance(slot)
-	}
+	l.cluster.ReleaseSlots(from, through)
 }

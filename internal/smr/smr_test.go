@@ -14,11 +14,8 @@ import (
 	"rdmaagreement/internal/core"
 )
 
-func testOptions(protocol core.Protocol) Options {
-	return Options{
-		Protocol: protocol,
-		Cluster:  core.Options{Processes: 3, Memories: 3},
-	}
+func testOptions() Options {
+	return Options{Cluster: core.Options{Processes: 3, Memories: 3}}
 }
 
 func newTestLog(t *testing.T, opts Options) *Log {
@@ -34,7 +31,7 @@ func newTestLog(t *testing.T, opts Options) *Log {
 // TestProposeSequential commits a handful of commands one by one and checks
 // the committed prefix.
 func TestProposeSequential(t *testing.T) {
-	l := newTestLog(t, testOptions(core.ProtocolProtectedMemoryPaxos))
+	l := newTestLog(t, testOptions())
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -67,7 +64,7 @@ func TestProposeSequential(t *testing.T) {
 // command exactly once, and (b) every replica learned the identical command
 // sequence.
 func TestConcurrentProposeReplicasAgree(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	// A little memory latency makes slots slow enough that concurrent
 	// submissions actually pile up into batches.
 	opts.Cluster.MemoryLatency = 500 * time.Microsecond
@@ -150,7 +147,7 @@ func TestConcurrentProposeReplicasAgree(t *testing.T) {
 // TestBatchingPreservesClientFIFO checks that each client's commands appear
 // in the log in submission order even when batched with other clients'.
 func TestBatchingPreservesClientFIFO(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.Cluster.MemoryLatency = 500 * time.Microsecond
 	opts.MaxBatch = 4 // force several partial batches
 	l := newTestLog(t, opts)
@@ -198,7 +195,7 @@ func TestBatchingPreservesClientFIFO(t *testing.T) {
 
 // TestEntriesCatchUp reads the committed suffix from an arbitrary index.
 func TestEntriesCatchUp(t *testing.T) {
-	l := newTestLog(t, testOptions(core.ProtocolProtectedMemoryPaxos))
+	l := newTestLog(t, testOptions())
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	for i := 0; i < 6; i++ {
@@ -220,40 +217,13 @@ func TestEntriesCatchUp(t *testing.T) {
 	}
 }
 
-// TestLogOverMessagePassingProtocols runs the log over the Paxos and Fast
-// Paxos baselines, exercising the per-slot message-kind multiplexing.
-func TestLogOverMessagePassingProtocols(t *testing.T) {
-	for _, protocol := range []core.Protocol{core.ProtocolPaxos, core.ProtocolFastPaxos} {
-		protocol := protocol
-		t.Run(string(protocol), func(t *testing.T) {
-			l := newTestLog(t, testOptions(protocol))
-			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-			defer cancel()
-			for i := 0; i < 5; i++ {
-				index, _, err := l.Propose(ctx, []byte(fmt.Sprintf("cmd-%d", i)))
-				if err != nil {
-					t.Fatalf("Propose(%d): %v", i, err)
-				}
-				if index != uint64(i) {
-					t.Fatalf("Propose(%d): index = %d, want %d", i, index, i)
-				}
-			}
-			for _, p := range l.Cluster().Procs {
-				replicaLog, ok := l.ReplicaLog(p)
-				if !ok || len(replicaLog) != 5 {
-					t.Fatalf("replica %s learned %d commands (gap-free=%v), want 5", p, len(replicaLog), ok)
-				}
-			}
-		})
-	}
-}
-
-// TestUnsupportedProtocol checks the error path for single-shot-only
-// protocols.
-func TestUnsupportedProtocol(t *testing.T) {
-	_, err := NewLog(Options{Protocol: core.ProtocolDiskPaxos, Cluster: core.Options{Processes: 3, Memories: 3}})
+// TestNewLogRejectsInvalidCluster checks the construction error path: a
+// cluster whose memories cannot tolerate the configured f_M fails NewLog
+// instead of the first Propose.
+func TestNewLogRejectsInvalidCluster(t *testing.T) {
+	_, err := NewLog(Options{Cluster: core.Options{Processes: 3, Memories: 2, FaultyMemories: 1}})
 	if err == nil {
-		t.Fatalf("NewLog(disk-paxos) succeeded, want slot-multiplexing error")
+		t.Fatalf("NewLog with m=2, f_M=1 succeeded, want a configuration error")
 	}
 }
 
@@ -262,7 +232,7 @@ func TestUnsupportedProtocol(t *testing.T) {
 // the slot, immediate errors afterwards) because the slot's outcome is
 // ambiguous.
 func TestHaltOnAmbiguousSlot(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.SlotTimeout = 200 * time.Millisecond
 	l := newTestLog(t, opts)
 	l.Cluster().Pool.CrashQuorumSafe(3) // all memories: no quorum possible
@@ -294,7 +264,7 @@ func TestHaltOnAmbiguousSlot(t *testing.T) {
 // catch-up timeout (the replica is then marked lagging), and the healthy
 // replicas stay gap-free.
 func TestCrashedReplicaDoesNotStallLog(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.ReplicaCatchUp = time.Second
 	l := newTestLog(t, opts)
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"rdmaagreement/internal/core"
 	"rdmaagreement/internal/types"
 )
 
@@ -68,7 +67,7 @@ func propose(t *testing.T, ctx context.Context, l *Log, key, value string) {
 // intervals and checks that restoring the latest snapshot into a fresh
 // machine reproduces exactly the state at the snapshot's last index.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = newTestSM
 	opts.SnapshotInterval = 8
 	l := newTestLog(t, opts)
@@ -113,7 +112,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // independent of log length — while the log's logical surface (Len, Slots)
 // keeps counting the truncated prefix.
 func TestSlotGCBoundsMemoryRegions(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = newTestSM
 	opts.SnapshotInterval = 4
 	l := newTestLog(t, opts)
@@ -170,7 +169,7 @@ func TestSlotGCBoundsMemoryRegions(t *testing.T) {
 // still be truncated once SnapshotInterval slots have been decided —
 // otherwise a read-heavy group grows without bound.
 func TestReadOnlySlotGC(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = newTestSM
 	opts.SnapshotInterval = 4
 	l := newTestLog(t, opts)
@@ -210,7 +209,7 @@ func (m *failRestoreSM) Restore([]byte, uint64) error {
 // fast-forward it (that would silently diverge its state machine); only views
 // whose lag lies entirely within the no-op window may jump.
 func TestNoOpTruncationDoesNotFastForwardFailedRestore(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = func() StateMachine { return &failRestoreSM{&testSM{state: make(map[string]string)}} }
 	opts.SnapshotInterval = 4
 	opts.ReplicaCatchUp = 300 * time.Millisecond
@@ -261,7 +260,7 @@ func TestNoOpTruncationDoesNotFastForwardFailedRestore(t *testing.T) {
 // going: region release is host-side bookkeeping, not an RDMA operation, so
 // GC must not need the crashed minority.
 func TestCommitThroughSnapshotUnderMemoryCrash(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.Cluster.Memories = 5
 	opts.NewSM = newTestSM
 	opts.SnapshotInterval = 4
@@ -296,7 +295,7 @@ func TestCommitThroughSnapshotUnderMemoryCrash(t *testing.T) {
 // replica's view is brought to the snapshot point by Restore — zero Apply
 // calls — rather than by replaying the (truncated) log.
 func TestLaggingReplicaRestoredFromSnapshot(t *testing.T) {
-	opts := testOptions(core.ProtocolProtectedMemoryPaxos)
+	opts := testOptions()
 	opts.NewSM = newTestSM
 	opts.SnapshotInterval = 4
 	opts.ReplicaCatchUp = 500 * time.Millisecond
