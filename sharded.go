@@ -128,8 +128,7 @@ type ShardedStats struct {
 // Two wire forms share the gate. Key-bound application payloads — the hot
 // path, one per Propose/Read — ride the binary framing under shardBinMagic
 // (magic | keylen uvarint | key | payload), decoded without allocation.
-// Migration commands, rare and structured, stay JSON under shardMagic, which
-// is also still decoded for envelopes committed by pre-binary code.
+// Migration commands, rare and structured, stay JSON under shardMagic.
 var (
 	shardMagic    = []byte("rshd\x00\x01")
 	shardBinMagic = []byte("rshb\x00\x01")
