@@ -403,3 +403,54 @@ func BenchmarkLogRead(b *testing.B) {
 		}
 	})
 }
+
+// benchKVState builds a kvMachine holding n keys shaped like the kvbench
+// floor-bigstate workload's: 17-byte keys, 64-byte values.
+func benchKVState(n int) *kvMachine {
+	m := newKVMachine().(*kvMachine)
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("k%016x", uint64(i)*0x9e3779b97f4a7c15)
+		m.state[key] = fmt.Sprintf("%s/%02d/%010d/%029d", key, i%64, i, 0)
+	}
+	return m
+}
+
+// BenchmarkKVSnapshot measures kvMachine.Snapshot — the O(state) pass the
+// applier runs every SnapshotInterval entries — at 1k keys (a paper-2ms
+// group) and 40k keys (a floor-bigstate group late in a run). Run with
+// -benchmem.
+func BenchmarkKVSnapshot(b *testing.B) {
+	for _, n := range []int{1000, 40000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			m := benchKVState(n)
+			snap, _ := m.Snapshot()
+			b.SetBytes(int64(len(snap)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKVRestore measures kvMachine.Restore of the same snapshots: the
+// cost of bringing a lagging replica view back past a truncation.
+func BenchmarkKVRestore(b *testing.B) {
+	for _, n := range []int{1000, 40000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			snap, _ := benchKVState(n).Snapshot()
+			m := newKVMachine()
+			b.SetBytes(int64(len(snap)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Restore(snap, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

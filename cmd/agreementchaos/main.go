@@ -17,6 +17,7 @@
 //	agreementchaos -duration 10m        # seeded campaign until the budget ends
 //	agreementchaos -seed 7 -dry-run     # print the schedule, run nothing
 //	agreementchaos -faults stall,jitter # restrict the fault mix
+//	agreementchaos -snap-interval 8     # snapshot (and restore lagging views) every 8 entries
 //	agreementchaos -history-out h.txt   # on violation, dump the refuted ops
 //
 // Diagnostics and schedules go to stderr; the verdict goes to stdout. Exit
@@ -66,6 +67,7 @@ func run() int {
 	putPercent := flag.Int("put-percent", 0, "write share of the workload in percent (0 = chaos default)")
 	batch := flag.Int("batch", 0, "max commands agreed as one slot value (0 = smr default)")
 	batchWait := flag.Duration("batch-wait", 0, "adaptive group-commit coalescing horizon (0 = cut immediately)")
+	snapInterval := flag.Int("snap-interval", 0, "per-group snapshot interval in entries (0 = smr default, <0 disables)")
 	faults := flag.String("faults", "", "comma-separated fault kinds to enable (empty = all: "+strings.Join(chaos.AllFaults, ",")+")")
 	netMode := flag.Bool("net", false, "route half the clients through an in-process kvserver on loopback TCP and the ring-aware client package")
 	dryRun := flag.Bool("dry-run", false, "print each schedule and exit without running it")
@@ -98,19 +100,20 @@ func run() int {
 	}
 
 	cfg := chaos.Config{
-		Shards:     *shards,
-		Clients:    *clients,
-		Keys:       *keys,
-		Window:     *window,
-		Events:     *events,
-		Latency:    *latency,
-		Lease:      *lease,
-		Batch:      *batch,
-		BatchWait:  *batchWait,
-		PutPercent: *putPercent,
-		Faults:     kinds,
-		Served:     *netMode,
-		Out:        os.Stderr,
+		Shards:           *shards,
+		Clients:          *clients,
+		Keys:             *keys,
+		Window:           *window,
+		Events:           *events,
+		Latency:          *latency,
+		Lease:            *lease,
+		Batch:            *batch,
+		BatchWait:        *batchWait,
+		SnapshotInterval: *snapInterval,
+		PutPercent:       *putPercent,
+		Faults:           kinds,
+		Served:           *netMode,
+		Out:              os.Stderr,
 	}
 
 	deadline := time.Time{}

@@ -54,6 +54,11 @@ type Config struct {
 	// boundary the displacement path re-dispatches whole.
 	BatchBytes int
 	BatchWait  time.Duration
+	// SnapshotInterval is each shard log's snapshot interval (see
+	// smr.Options); zero keeps the smr default. A tiny interval snapshots
+	// every few entries, so replica views that lag behind a memory crash or
+	// a stall are restored from snapshots, not replayed.
+	SnapshotInterval int
 	// PutPercent is the write share of the workload. Default 50.
 	PutPercent int
 	// Faults enables a subset of AllFaults; nil enables all.
@@ -108,6 +113,15 @@ func (cfg Config) ReproLine() string {
 	if cfg.BatchWait != 0 {
 		line += fmt.Sprintf(" -batch-wait %s", cfg.BatchWait)
 	}
+	if cfg.PutPercent != 50 {
+		line += fmt.Sprintf(" -put-percent %d", cfg.PutPercent)
+	}
+	if cfg.SnapshotInterval != 0 {
+		line += fmt.Sprintf(" -snap-interval %d", cfg.SnapshotInterval)
+	}
+	if len(cfg.Faults) > 0 {
+		line += " -faults " + strings.Join(cfg.Faults, ",")
+	}
 	if cfg.Served {
 		line += " -net"
 	}
@@ -133,6 +147,9 @@ type Result struct {
 	Faults map[string]int
 	// Takeovers sums the lease takeovers the initial shards observed.
 	Takeovers uint64
+	// Restores sums how often a replica view of the initial shards fell
+	// behind a truncation and was restored from a snapshot.
+	Restores int
 	// CheckDuration is the wall-clock cost of the linearizability check.
 	CheckDuration time.Duration
 	// Linearizable is the verdict; Violations holds the refuted keys.
@@ -178,10 +195,11 @@ func Run(cfg Config) (Result, error) {
 				MemoryLatency: cfg.Latency,
 				LeaseDuration: cfg.Lease,
 			},
-			MaxBatch:   cfg.Batch,
-			BatchBytes: cfg.BatchBytes,
-			BatchWait:  cfg.BatchWait,
-			Pipeline:   cfg.Pipeline,
+			MaxBatch:         cfg.Batch,
+			BatchBytes:       cfg.BatchBytes,
+			BatchWait:        cfg.BatchWait,
+			Pipeline:         cfg.Pipeline,
+			SnapshotInterval: cfg.SnapshotInterval,
 		},
 	})
 	if err != nil {
@@ -291,10 +309,13 @@ func Run(cfg Config) (Result, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		if lg := kv.ShardLog(fmt.Sprintf("shard-%d", i)); lg != nil {
 			res.Takeovers += lg.Stats().Takeovers
+			for _, p := range lg.Cluster().Procs {
+				res.Restores += lg.Restores(p)
+			}
 		}
 	}
-	fmt.Fprintf(out, "seed=%d ops=%d (puts=%d gets=%d unknown=%d dropped=%d) faults=%d takeovers=%d check=%s linearizable=%v\n",
-		cfg.Seed, res.Ops, res.Puts, res.Gets, res.Unknown, res.Dropped, len(sched.Events), res.Takeovers, res.CheckDuration.Round(time.Microsecond), res.Linearizable)
+	fmt.Fprintf(out, "seed=%d ops=%d (puts=%d gets=%d unknown=%d dropped=%d) faults=%d takeovers=%d restores=%d check=%s linearizable=%v\n",
+		cfg.Seed, res.Ops, res.Puts, res.Gets, res.Unknown, res.Dropped, len(sched.Events), res.Takeovers, res.Restores, res.CheckDuration.Round(time.Microsecond), res.Linearizable)
 	return res, nil
 }
 

@@ -24,14 +24,23 @@ import (
 //     so takeovers displace max-size batches mid-flight — the re-dispatch
 //     path must replay the whole batch at a later slot exactly once, with
 //     no lost or doubled command.
+//   - seed 29 snapshot-restores: a snapshot every 8 entries under memory
+//     crashes and lease-holder stalls, so replica views that fall behind a
+//     truncation are restored from binary snapshots (the kvMachine payload
+//     inside the groupSM gate) while the workload runs; the run must restore
+//     at least one view and still linearize.
 var regressionSeeds = []struct {
 	name string
 	cfg  Config
+	// restores requires the run to restore at least one lagging view from
+	// a snapshot: the seed exists to exercise that path.
+	restores bool
 }{
-	{"seed7-inproc", Config{Seed: 7, Window: 1500 * time.Millisecond}},
-	{"seed7-served", Config{Seed: 7, Window: 1500 * time.Millisecond, Served: true}},
-	{"seed11-inproc", Config{Seed: 11, Window: 1500 * time.Millisecond}},
-	{"seed19-batch-boundary", Config{Seed: 19, Window: 1500 * time.Millisecond, Batch: 3, BatchWait: 2 * time.Millisecond}},
+	{"seed7-inproc", Config{Seed: 7, Window: 1500 * time.Millisecond}, false},
+	{"seed7-served", Config{Seed: 7, Window: 1500 * time.Millisecond, Served: true}, false},
+	{"seed11-inproc", Config{Seed: 11, Window: 1500 * time.Millisecond}, false},
+	{"seed19-batch-boundary", Config{Seed: 19, Window: 1500 * time.Millisecond, Batch: 3, BatchWait: 2 * time.Millisecond}, false},
+	{"seed29-snapshot-restores", Config{Seed: 29, Window: 1500 * time.Millisecond, SnapshotInterval: 8, Faults: []string{KindMemCrash, KindStall}}, true},
 }
 
 // TestRegressionSeeds replays every committed seed and requires a clean
@@ -60,6 +69,9 @@ func TestRegressionSeeds(t *testing.T) {
 			}
 			if len(res.Faults) == 0 {
 				t.Fatalf("schedule injected no faults")
+			}
+			if tc.restores && res.Restores == 0 {
+				t.Fatalf("no replica view was restored from a snapshot\nrepro: %s", tc.cfg.ReproLine())
 			}
 		})
 	}

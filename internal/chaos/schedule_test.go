@@ -76,4 +76,9 @@ func TestReproLineRoundTrips(t *testing.T) {
 	if !strings.Contains(line, "-seed 1234") || !strings.Contains(line, "-net") {
 		t.Fatalf("repro line incomplete: %s", line)
 	}
+	cfg = Config{Seed: 29, SnapshotInterval: 8, PutPercent: 90, Faults: []string{KindMemCrash, KindStall}}
+	line = cfg.ReproLine()
+	if !strings.Contains(line, "-snap-interval 8") || !strings.Contains(line, "-faults memcrash,stall") || !strings.Contains(line, "-put-percent 90") {
+		t.Fatalf("repro line drops the snapshot interval, fault mix or write share: %s", line)
+	}
 }

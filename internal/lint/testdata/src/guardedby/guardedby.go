@@ -80,7 +80,7 @@ func (c *counter) ignored() int {
 
 func (c *counter) ignoreNeedsReason() int {
 	/* want `needs a non-empty reason` */ //smrlint:ignore guardedby
-	return c.n // want `c\.n read without c\.mu held`
+	return c.n                            // want `c\.n read without c\.mu held`
 }
 
 type badAnnotation struct {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -29,6 +30,20 @@ func TestConstructionOrderIrrelevant(t *testing.T) {
 		if got, want := a.Shard(key), b.Shard(key); got != want {
 			t.Fatalf("order-dependent mapping on %q: %q vs %q", key, got, want)
 		}
+	}
+}
+
+// TestNewMatchesIncrementalAdds pins New's one-sort construction to the ring
+// a sequence of Adds builds, duplicates included.
+func TestNewMatchesIncrementalAdds(t *testing.T) {
+	names := []string{"shard-3", "shard-0", "shard-3", "shard-1", ""}
+	built := New(names, 32)
+	added := New(nil, 32)
+	for _, n := range names {
+		added.Add(n)
+	}
+	if !reflect.DeepEqual(built.points, added.points) || !reflect.DeepEqual(built.shards, added.shards) {
+		t.Fatalf("New and incremental Adds built different rings: %v vs %v", built.shards, added.shards)
 	}
 }
 

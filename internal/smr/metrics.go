@@ -30,6 +30,10 @@ const (
 	metricApply      = "smr_apply_seconds"       // slot: record + apply + resolve
 	metricEndToEnd   = "smr_e2e_seconds"         // command: enqueue → waiter resolved
 
+	// Snapshot duration: the authoritative machine's Snapshot() call inside
+	// maybeSnapshot, the O(state) pass that stalls the group's applier.
+	metricSnapshot = "smr_snapshot_seconds"
+
 	// Unit-valued histogram: commands per cut batch, recorded as 1ns units
 	// on power-of-two bounds. How adaptive group commit tracks offered load.
 	metricBatchSize = "smr_batch_size"
@@ -64,6 +68,7 @@ type logMetrics struct {
 	commitWait *metrics.Histogram
 	apply      *metrics.Histogram
 	e2e        *metrics.Histogram
+	snapshot   *metrics.Histogram
 	batchSize  *metrics.Histogram
 }
 
@@ -85,6 +90,7 @@ func newLogMetrics(reg *metrics.Registry) *logMetrics {
 		commitWait: reg.Histogram(metricCommitWait),
 		apply:      reg.Histogram(metricApply),
 		e2e:        reg.Histogram(metricEndToEnd),
+		snapshot:   reg.Histogram(metricSnapshot),
 		batchSize:  reg.HistogramWith(metricBatchSize, batchSizeBounds),
 	}
 }
@@ -187,6 +193,11 @@ type Metrics struct {
 	Apply StageLatency
 	// EndToEnd is enqueue → waiter resolved, per command.
 	EndToEnd StageLatency
+	// Snapshot is the authoritative machine's Snapshot() call, per
+	// snapshot: the O(state) serialization the applier runs every
+	// SnapshotInterval entries. Every slot decided meanwhile waits for it,
+	// so it surfaces in CommitWait; this histogram names the cause.
+	Snapshot StageLatency
 
 	// BatchSize is the distribution of chosen batch sizes (commands per cut
 	// batch): how adaptive group commit is tracking offered load. Mean ≈ 1
@@ -219,6 +230,7 @@ func MetricsFrom(reg *metrics.Registry) Metrics {
 		CommitWait:    stageOf(reg.Histogram(metricCommitWait)),
 		Apply:         stageOf(reg.Histogram(metricApply)),
 		EndToEnd:      stageOf(reg.Histogram(metricEndToEnd)),
+		Snapshot:      stageOf(reg.Histogram(metricSnapshot)),
 		BatchSize:     sizeOf(reg.HistogramWith(metricBatchSize, batchSizeBounds)),
 		QueueDepth:    gaugeOf(reg.Gauge(metricQueueDepth)),
 		InflightSlots: gaugeOf(reg.Gauge(metricInflight)),

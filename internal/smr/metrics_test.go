@@ -3,6 +3,7 @@ package smr
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,6 +179,51 @@ func TestMetricsPrivateRegistryByDefault(t *testing.T) {
 	}
 	if got := b.Metrics().Enqueued; got != 0 {
 		t.Fatalf("b.Enqueued = %d, want 0", got)
+	}
+}
+
+// TestMetricsSnapshotStageMoves drives a group past a small snapshot
+// interval and checks the snapshot histogram records one observation per
+// snapshot taken, in the typed view, the registry text and the expvar map.
+func TestMetricsSnapshotStageMoves(t *testing.T) {
+	opts := testOptions()
+	opts.NewSM = newTestSM
+	opts.SnapshotInterval = 4
+	l := newTestLog(t, opts)
+	if got := l.Metrics().Snapshot.Count; got != 0 {
+		t.Fatalf("Snapshot.Count = %d before any entry, want 0", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for i := 0; i < 3*opts.SnapshotInterval; i++ {
+		propose(t, ctx, l, fmt.Sprintf("k%d", i), "v")
+	}
+	// The applier snapshots after resolving the entry that crosses the
+	// interval; a barrier applied behind it orders the reads below after it.
+	if _, err := l.Barrier(ctx); err != nil {
+		t.Fatalf("Barrier: %v", err)
+	}
+	taken := l.Snapshots()
+	m := l.Metrics()
+	if taken < 2 {
+		t.Fatalf("only %d snapshots after %d entries at interval %d", taken, 3*opts.SnapshotInterval, opts.SnapshotInterval)
+	}
+	if m.Snapshot.Count != uint64(taken) {
+		t.Fatalf("Snapshot.Count = %d, want one per snapshot taken (%d)", m.Snapshot.Count, taken)
+	}
+	if m.Snapshot.Max <= 0 {
+		t.Fatalf("Snapshot.Max = %v, want a positive duration", m.Snapshot.Max)
+	}
+	var sb strings.Builder
+	if err := l.Registry().WriteText(&sb); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	if !strings.Contains(sb.String(), metricSnapshot) {
+		t.Fatalf("registry text lacks %s:\n%s", metricSnapshot, sb.String())
+	}
+	h, ok := l.Registry().Snapshot()[metricSnapshot].(map[string]any)
+	if !ok || h["count"] != uint64(taken) {
+		t.Fatalf("expvar view of %s = %v, want count %d", metricSnapshot, h, taken)
 	}
 }
 

@@ -1916,7 +1916,9 @@ func (l *Log) maybeSnapshot() {
 	if !due {
 		return
 	}
+	snapStart := time.Now()
 	data, err := l.sm.Snapshot()
+	l.m.snapshot.Observe(time.Since(snapStart))
 	if err != nil {
 		// Keep the log intact, surface the failure, and reset the counters
 		// so the retry costs one O(state) attempt per interval, not one per

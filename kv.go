@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
+	"sort"
 	"sync/atomic"
 )
 
@@ -113,57 +114,170 @@ func (m *kvMachine) Query(query []byte) ([]byte, error) {
 	return encodeKVResult(found, v), nil
 }
 
-// Snapshot serializes the full store.
-func (m *kvMachine) Snapshot() ([]byte, error) { return json.Marshal(m.state) }
+// kvPayloadMagic tags the one binary layout every kvMachine state export
+// uses — Snapshot, Restore, MigrateOut and MigrateIn — because a migration
+// export is just a partial snapshot:
+//
+//	magic | count uvarint | (keylen uvarint | key | vallen uvarint | value)*
+//
+// The trailing byte versions the layout.
+var kvPayloadMagic = []byte("rkvs\x00\x01")
 
-// MigrateOut removes and serializes the keys a rebalance routes elsewhere.
-// Deterministic as the Migrator contract requires: the removal is a pure set
-// operation and json.Marshal emits map keys sorted.
-func (m *kvMachine) MigrateOut(moved func(key string) bool) ([]byte, int, error) {
-	out := make(map[string]string)
-	for k, v := range m.state {
-		if moved(k) {
-			out[k] = v
-			delete(m.state, k)
+// appendKVHeader starts a kvMachine payload of count pairs.
+func appendKVHeader(out []byte, count int) []byte {
+	out = append(out, kvPayloadMagic...)
+	return binary.AppendUvarint(out, uint64(count))
+}
+
+// appendKVPair appends one pair. It is the shared pair writer: callers decide
+// the order, and a caller that must be deterministic (MigrateOut) hands it
+// sorted keys — this helper never ranges over a map itself.
+func appendKVPair(out []byte, key, value string) []byte {
+	return appendField(appendField(out, key), value)
+}
+
+// appendField appends one length-prefixed field (length uvarint, bytes): the
+// unit every binary state and migration layout in this package is built from.
+func appendField[T string | []byte](out []byte, field T) []byte {
+	out = binary.AppendUvarint(out, uint64(len(field)))
+	return append(out, field...)
+}
+
+// splitField splits one length-prefixed field off the front of b.
+func splitField(b []byte) (field, rest []byte, ok bool) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > uint64(len(b)-w) {
+		return nil, nil, false
+	}
+	b = b[w:]
+	return b[:n], b[n:], true
+}
+
+// checkKVPayload validates a whole kvMachine payload and returns its pair
+// count and pair bytes, which nextKVPair then walks without further checks.
+// The declared count is checked against the bytes left (every pair takes at
+// least two) before anything is walked, so callers may presize with it; and
+// since every pair is checked before a caller sees the first, a caller merging
+// into live state never applies half of a malformed payload.
+func checkKVPayload(data []byte) (count int, pairs []byte, err error) {
+	if !bytes.HasPrefix(data, kvPayloadMagic) {
+		return 0, nil, fmt.Errorf("missing KV payload tag")
+	}
+	rest := data[len(kvPayloadMagic):]
+	n, w := binary.Uvarint(rest)
+	if w <= 0 {
+		return 0, nil, fmt.Errorf("truncated KV pair count")
+	}
+	pairs = rest[w:]
+	if n > uint64(len(pairs)/2) {
+		return 0, nil, fmt.Errorf("KV pair count %d overruns %d payload bytes", n, len(pairs))
+	}
+	rest = pairs
+	for i := uint64(0); i < n; i++ {
+		var ok bool
+		if _, rest, ok = splitField(rest); ok {
+			_, rest, ok = splitField(rest)
+		}
+		if !ok {
+			return 0, nil, fmt.Errorf("KV pair %d overruns payload", i)
 		}
 	}
-	if len(out) == 0 {
+	if len(rest) != 0 {
+		return 0, nil, fmt.Errorf("%d trailing bytes after %d KV pairs", len(rest), n)
+	}
+	return int(n), pairs, nil
+}
+
+// nextKVPair splits the first pair off pair bytes checkKVPayload accepted.
+// The returned slices alias pairs.
+func nextKVPair(pairs []byte) (key, value, rest []byte) {
+	key, rest, _ = splitField(pairs)
+	value, rest, _ = splitField(rest)
+	return key, value, rest
+}
+
+// uvarintLen is the encoded size of x as a uvarint.
+func uvarintLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
+
+// Snapshot serializes the full store as a kvMachine payload. Pairs are
+// written in map-iteration order: the bytes are not canonical — two replicas
+// in the same state may snapshot different bytes — but the state they encode
+// is, and Restore is their only reader. Skipping the key sort is what keeps
+// this O(state) pass cheap on the applier.
+func (m *kvMachine) Snapshot() ([]byte, error) {
+	size := len(kvPayloadMagic) + uvarintLen(len(m.state))
+	for k, v := range m.state {
+		size += uvarintLen(len(k)) + len(k) + uvarintLen(len(v)) + len(v)
+	}
+	out := appendKVHeader(make([]byte, 0, size), len(m.state))
+	for k, v := range m.state {
+		out = appendKVPair(out, k, v)
+	}
+	return out, nil
+}
+
+// MigrateOut removes and serializes the keys a rebalance routes elsewhere.
+// Deterministic as the Migrator contract requires — the export enters the
+// machine state of both groups — so the moved keys are collected and sorted
+// before they are written.
+func (m *kvMachine) MigrateOut(moved func(key string) bool) ([]byte, int, error) {
+	var keys []string
+	for k := range m.state {
+		if moved(k) {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
 		return nil, 0, nil
 	}
-	blob, err := json.Marshal(out)
-	if err != nil {
-		return nil, 0, fmt.Errorf("kv: migrate out: %w", err)
+	sort.Strings(keys)
+	out := appendKVHeader(nil, len(keys))
+	for _, k := range keys {
+		out = appendKVPair(out, k, m.state[k])
+		delete(m.state, k)
 	}
-	return blob, len(out), nil
+	return out, len(keys), nil
 }
 
 // MigrateIn merges a MigrateOut export, keeping only the keys this group owns
 // under the new ring (a removed shard's export fans out to every survivor).
+// A malformed export merges nothing.
 func (m *kvMachine) MigrateIn(data []byte, owned func(key string) bool) (int, error) {
 	if len(data) == 0 {
 		return 0, nil
 	}
-	in := make(map[string]string)
-	if err := json.Unmarshal(data, &in); err != nil {
+	count, pairs, err := checkKVPayload(data)
+	if err != nil {
 		return 0, fmt.Errorf("kv: migrate in: %w", err)
 	}
 	n := 0
-	for k, v := range in {
-		if owned(k) {
-			m.state[k] = v
+	for i := 0; i < count; i++ {
+		var key, value []byte
+		key, value, pairs = nextKVPair(pairs)
+		if k := string(key); owned(k) {
+			m.state[k] = string(value)
 			n++
 		}
 	}
 	return n, nil
 }
 
-// Restore replaces the store with a snapshot.
+// Restore replaces the store with a snapshot (an empty one means an empty
+// store). A malformed snapshot leaves the store untouched.
 func (m *kvMachine) Restore(snapshot []byte, _ uint64) error {
-	state := make(map[string]string)
-	if len(snapshot) > 0 {
-		if err := json.Unmarshal(snapshot, &state); err != nil {
-			return fmt.Errorf("kv: restore: %w", err)
-		}
+	if len(snapshot) == 0 {
+		m.state = make(map[string]string)
+		return nil
+	}
+	count, pairs, err := checkKVPayload(snapshot)
+	if err != nil {
+		return fmt.Errorf("kv: restore: %w", err)
+	}
+	state := make(map[string]string, count)
+	for i := 0; i < count; i++ {
+		var key, value []byte
+		key, value, pairs = nextKVPair(pairs)
+		state[string(key)] = string(value)
 	}
 	m.state = state
 	return nil

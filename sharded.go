@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -118,28 +118,41 @@ type ShardedStats struct {
 	Forwarded uint64
 }
 
-// shardMagic tags every command and query the Sharded layer submits to its
+// shardBinMagic tags every command and query the Sharded layer submits to its
 // groups. The envelope carries the application payload plus the routing key,
 // which is what lets each group's ownership gate check — at APPLY time, in
 // log order — that the group still owns the key: the only point where the
 // route-then-commit race of a live rebalance can be closed. Raw log-level
 // traffic (no envelope) bypasses the gate exactly as it bypasses routing.
 //
-// Two wire forms share the gate. Key-bound application payloads — the hot
-// path, one per Propose/Read — ride the binary framing under shardBinMagic
-// (magic | keylen uvarint | key | payload), decoded without allocation.
-// Migration commands, rare and structured, stay JSON under shardMagic.
+// Every layout here is binary, built from the same length-prefixed fields as
+// the kvMachine payload, and tagged with a magic whose trailing byte versions
+// it:
+//
+//   - shardBinMagic: key-bound application payloads, the hot path, one per
+//     Propose/Read (magic | key field | payload), decoded without allocation;
+//   - shardMagic: migration commands (see encodeMigrate);
+//   - migrateResultMagic: the Apply response of a migration command
+//     (magic | keys uvarint | data);
+//   - groupSnapMagic: groupSM snapshots (see groupSM.Snapshot).
 var (
-	shardMagic    = []byte("rshd\x00\x01")
-	shardBinMagic = []byte("rshb\x00\x01")
+	shardBinMagic      = []byte("rshb\x00\x01")
+	shardMagic         = []byte("rshd\x00\x02")
+	migrateResultMagic = []byte("rshr\x00\x01")
+	groupSnapMagic     = []byte("rshs\x00\x01")
 )
 
-// shardEnvelope is the wire form of one sharded command or query: either an
-// application payload bound to its routing key, or a migration command.
+// maxRingPoints bounds a ring config's shards × virtual nodes. NewSharded and
+// AddShard refuse larger rings, and the decoders reject them, so a few hostile
+// bytes in a migration command or snapshot cannot ask for a huge ring.
+const maxRingPoints = 1 << 16
+
+// shardEnvelope is one sharded command or query: either an application
+// payload bound to its routing key, or a migration command.
 type shardEnvelope struct {
-	Key     string      `json:"key,omitempty"`
-	Cmd     []byte      `json:"cmd,omitempty"`
-	Migrate *migrateCmd `json:"migrate,omitempty"`
+	Key     string
+	Cmd     []byte
+	Migrate *migrateCmd
 }
 
 // migrateCmd is a rebalance step committed through a group's own log —
@@ -152,72 +165,203 @@ type migrateCmd struct {
 	// the post-import acknowledgement that lets the ceding group drop its
 	// export outbox; otherwise this is an import (committed in a receiving
 	// group).
-	Out bool `json:"out,omitempty"`
-	Ack bool `json:"ack,omitempty"`
+	Out bool
+	Ack bool
 	// Epoch is the migration epoch: one per rebalance operation, strictly
 	// increasing. It makes re-proposed migration commands idempotent — a
 	// duplicate export replays its stored result, a duplicate import is a
 	// no-op — which is what lets an interrupted rebalance be retried safely.
-	Epoch uint64 `json:"epoch"`
+	Epoch uint64
 	// Shards and VNodes describe the ring after the rebalance.
-	Shards []string `json:"shards"`
-	VNodes int      `json:"vnodes"`
+	Shards []string
+	VNodes int
 	// Group is the group this command is committed in.
-	Group string `json:"group"`
+	Group string
 	// Source is the ceding group (imports only).
-	Source string `json:"source,omitempty"`
-	// Data is the ceded sub-state (imports only).
-	Data []byte `json:"data,omitempty"`
+	Source string
+	// Data is the ceded sub-state (imports only). Decoded, it aliases the
+	// committed entry: it is consumed within the apply and never retained.
+	Data []byte
 }
+
+// Migration command kinds, one byte on the wire.
+const (
+	migrateImport byte = iota
+	migrateOut
+	migrateAck
+)
 
 // migrateResult is the Apply response of a migration command: the export's
 // bytes (out) and the number of keys exported or merged.
 type migrateResult struct {
-	Data []byte `json:"data,omitempty"`
-	Keys int    `json:"keys"`
+	Data []byte
+	Keys int
 }
 
 func encodeEnvelope(env shardEnvelope) ([]byte, error) {
 	if env.Migrate == nil {
 		out := make([]byte, 0, len(shardBinMagic)+binary.MaxVarintLen64+len(env.Key)+len(env.Cmd))
 		out = append(out, shardBinMagic...)
-		out = binary.AppendUvarint(out, uint64(len(env.Key)))
-		out = append(out, env.Key...)
-		out = append(out, env.Cmd...)
-		return out, nil
+		out = appendField(out, env.Key)
+		return append(out, env.Cmd...), nil
 	}
-	blob, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("sharded: encode envelope: %w", err)
+	return encodeMigrate(env.Migrate), nil
+}
+
+// encodeMigrate writes a migration command:
+//
+//	magic | kind byte | epoch uvarint | group field | source field | ring | data
+//
+// where ring is appendRing's layout and data runs to the end.
+func encodeMigrate(m *migrateCmd) []byte {
+	kind := migrateImport
+	switch {
+	case m.Out:
+		kind = migrateOut
+	case m.Ack:
+		kind = migrateAck
 	}
-	return append(append([]byte(nil), shardMagic...), blob...), nil
+	out := append([]byte(nil), shardMagic...)
+	out = append(out, kind)
+	out = binary.AppendUvarint(out, m.Epoch)
+	out = appendField(out, m.Group)
+	out = appendField(out, m.Source)
+	out = appendRing(out, m.Shards, m.VNodes)
+	return append(out, m.Data...)
+}
+
+func decodeMigrate(b []byte) (*migrateCmd, error) {
+	b = b[len(shardMagic):]
+	if len(b) == 0 || b[0] > migrateAck {
+		return nil, fmt.Errorf("unknown migration command kind")
+	}
+	m := &migrateCmd{Out: b[0] == migrateOut, Ack: b[0] == migrateAck}
+	b = b[1:]
+	var w int
+	if m.Epoch, w = binary.Uvarint(b); w <= 0 {
+		return nil, fmt.Errorf("truncated migration epoch")
+	}
+	group, rest, ok := splitField(b[w:])
+	if !ok {
+		return nil, fmt.Errorf("truncated migration group")
+	}
+	source, rest, ok := splitField(rest)
+	if !ok {
+		return nil, fmt.Errorf("truncated migration source")
+	}
+	m.Group, m.Source = string(group), string(source)
+	var err error
+	if m.Shards, m.VNodes, rest, err = splitRing(rest); err != nil {
+		return nil, err
+	}
+	if len(m.Shards) == 0 {
+		// Every rebalance leaves at least one shard; an empty ring would
+		// also snapshot as "no ring" and come back owning every key.
+		return nil, fmt.Errorf("migration command names no ring")
+	}
+	if len(rest) > 0 {
+		m.Data = rest
+	}
+	return m, nil
+}
+
+// appendRing writes a ring config: shard count uvarint, one field per name,
+// then the virtual-node count uvarint. No ring is a lone zero count.
+func appendRing(out []byte, shards []string, vnodes int) []byte {
+	out = binary.AppendUvarint(out, uint64(len(shards)))
+	if len(shards) == 0 {
+		return out
+	}
+	for _, name := range shards {
+		out = appendField(out, name)
+	}
+	return binary.AppendUvarint(out, uint64(vnodes))
+}
+
+// splitRing reads appendRing's layout off the front of b, rejecting rings
+// larger than maxRingPoints before anything is allocated for them.
+func splitRing(b []byte) (shards []string, vnodes int, rest []byte, err error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 {
+		return nil, 0, nil, fmt.Errorf("truncated ring shard count")
+	}
+	rest = b[w:]
+	if n == 0 {
+		return nil, 0, rest, nil
+	}
+	if n > uint64(len(rest)) || n > maxRingPoints {
+		return nil, 0, nil, fmt.Errorf("ring shard count %d overruns payload", n)
+	}
+	shards = make([]string, n)
+	for i := range shards {
+		name, next, ok := splitField(rest)
+		if !ok {
+			return nil, 0, nil, fmt.Errorf("truncated ring shard %d", i)
+		}
+		shards[i], rest = string(name), next
+	}
+	v, w := binary.Uvarint(rest)
+	if w <= 0 || v == 0 || v > maxRingPoints/n {
+		return nil, 0, nil, fmt.Errorf("ring of %d shards with bad virtual-node count", n)
+	}
+	return shards, int(v), rest[w:], nil
+}
+
+// checkRingSize is the construction-side half of maxRingPoints: a ring the
+// decoders would reject is refused before it is ever committed.
+func checkRingSize(shards, vnodes int) error {
+	if vnodes <= 0 {
+		vnodes = shard.DefaultVirtualNodes
+	}
+	if shards*vnodes > maxRingPoints {
+		return fmt.Errorf("sharded: %d shards × %d virtual nodes exceeds the ring limit of %d points", shards, vnodes, maxRingPoints)
+	}
+	return nil
+}
+
+func encodeMigrateResult(r migrateResult) []byte {
+	out := make([]byte, 0, len(migrateResultMagic)+binary.MaxVarintLen64+len(r.Data))
+	out = append(out, migrateResultMagic...)
+	out = binary.AppendUvarint(out, uint64(r.Keys))
+	return append(out, r.Data...)
+}
+
+func decodeMigrateResult(resp []byte) (migrateResult, error) {
+	if !bytes.HasPrefix(resp, migrateResultMagic) {
+		return migrateResult{}, fmt.Errorf("not a migration result")
+	}
+	rest := resp[len(migrateResultMagic):]
+	keys, w := binary.Uvarint(rest)
+	if w <= 0 || keys > math.MaxInt32 {
+		return migrateResult{}, fmt.Errorf("bad migration result key count")
+	}
+	r := migrateResult{Keys: int(keys)}
+	if rest = rest[w:]; len(rest) > 0 {
+		r.Data = rest
+	}
+	return r, nil
 }
 
 // decodeEnvelopeParts splits an enveloped payload into its routing key, the
-// inner payload, and (JSON envelopes only) a migration command. The returned
-// key and cmd alias raw for the binary framing — callers on the apply path
-// convert the key to a string only when they actually need one. ok=false
-// means raw carries neither tag: a raw log-level payload that bypasses the
-// gate.
+// inner payload, and (migration envelopes only) a migration command. The
+// returned key and cmd alias raw for the key-bound framing — callers on the
+// apply path convert the key to a string only when they actually need one.
+// ok=false means raw carries neither tag, or a malformed one: a raw
+// log-level payload that bypasses the gate.
 func decodeEnvelopeParts(raw []byte) (key, cmd []byte, mig *migrateCmd, ok bool) {
 	if bytes.HasPrefix(raw, shardBinMagic) {
-		rest := raw[len(shardBinMagic):]
-		klen, n := binary.Uvarint(rest)
-		if n <= 0 {
+		key, cmd, ok := splitField(raw[len(shardBinMagic):])
+		if !ok {
 			return nil, nil, nil, false
 		}
-		rest = rest[n:]
-		if klen > uint64(len(rest)) {
-			return nil, nil, nil, false
-		}
-		return rest[:klen:klen], rest[klen:], nil, true
+		return key[:len(key):len(key)], cmd, nil, true
 	}
 	if bytes.HasPrefix(raw, shardMagic) {
-		var env shardEnvelope
-		if err := json.Unmarshal(raw[len(shardMagic):], &env); err != nil {
+		m, err := decodeMigrate(raw)
+		if err != nil {
 			return nil, nil, nil, false
 		}
-		return []byte(env.Key), env.Cmd, env.Migrate, true
+		return nil, nil, m, true
 	}
 	return nil, nil, nil, false
 }
@@ -289,7 +433,7 @@ func (g *groupSM) applyMigrate(m *migrateCmd) ([]byte, error) {
 		if m.Epoch == g.outEpoch {
 			g.outData = nil
 		}
-		return json.Marshal(migrateResult{})
+		return encodeMigrateResult(migrateResult{}), nil
 	}
 	mig, ok := g.inner.(Migrator)
 	if !ok {
@@ -300,9 +444,9 @@ func (g *groupSM) applyMigrate(m *migrateCmd) ([]byte, error) {
 		if m.Epoch <= g.outEpoch {
 			if m.Epoch == g.outEpoch {
 				// Duplicate export (a lost-response retry): replay the result.
-				return json.Marshal(migrateResult{Data: g.outData, Keys: g.outKeys})
+				return encodeMigrateResult(migrateResult{Data: g.outData, Keys: g.outKeys}), nil
 			}
-			return json.Marshal(migrateResult{}) // stale epoch: nothing left to say
+			return encodeMigrateResult(migrateResult{}), nil // stale epoch: nothing left to say
 		}
 		data, keys, err := mig.MigrateOut(func(key string) bool { return next.Shard(key) != g.self })
 		if err != nil {
@@ -315,12 +459,12 @@ func (g *groupSM) applyMigrate(m *migrateCmd) ([]byte, error) {
 		// every replica runs the identical branch on the identical state.
 		g.ring = next
 		g.outEpoch, g.outData, g.outKeys = m.Epoch, data, keys
-		return json.Marshal(migrateResult{Data: data, Keys: keys})
+		return encodeMigrateResult(migrateResult{Data: data, Keys: keys}), nil
 	}
 	if last, dup := g.inEpochs[m.Source]; dup && m.Epoch <= last {
 		// Duplicate import (same handoff re-proposed): merging again could
 		// overwrite writes accepted since the first merge.
-		return json.Marshal(migrateResult{})
+		return encodeMigrateResult(migrateResult{}), nil
 	}
 	keys, err := mig.MigrateIn(m.Data, func(key string) bool { return next.Shard(key) == g.self })
 	if err != nil {
@@ -331,7 +475,7 @@ func (g *groupSM) applyMigrate(m *migrateCmd) ([]byte, error) {
 	}
 	g.inEpochs[m.Source] = m.Epoch
 	g.ring = next
-	return json.Marshal(migrateResult{Keys: keys})
+	return encodeMigrateResult(migrateResult{Keys: keys}), nil
 }
 
 func (g *groupSM) Query(query []byte) ([]byte, error) {
@@ -355,46 +499,92 @@ func (g *groupSM) queryInner(query []byte) ([]byte, error) {
 	return qr.Query(query)
 }
 
-// groupSnap is the serialized gate state wrapped around the inner machine's
-// snapshot.
-type groupSnap struct {
-	Shards   []string          `json:"shards,omitempty"`
-	VNodes   int               `json:"vnodes,omitempty"`
-	InEpochs map[string]uint64 `json:"in_epochs,omitempty"`
-	OutEpoch uint64            `json:"out_epoch,omitempty"`
-	OutData  []byte            `json:"out_data,omitempty"`
-	OutKeys  int               `json:"out_keys,omitempty"`
-	Inner    []byte            `json:"inner"`
-}
-
+// Snapshot writes the gate state in binary, then the inner machine's
+// snapshot bytes as they are (appended once, never re-encoded):
+//
+//	magic | ring | in-epoch count uvarint | (source field | epoch uvarint)*
+//	      | out-epoch uvarint | out-keys uvarint | out-data field | inner
+//
+// where ring is appendRing's layout. The in-epochs are written in
+// map-iteration order: like kvMachine's, the bytes are not canonical but the
+// state they encode is.
 func (g *groupSM) Snapshot() ([]byte, error) {
 	inner, err := g.inner.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	snap := groupSnap{InEpochs: g.inEpochs, OutEpoch: g.outEpoch, OutData: g.outData, OutKeys: g.outKeys, Inner: inner}
+	var shards []string
+	var vnodes int
 	if g.ring != nil {
-		snap.Shards = g.ring.Shards()
-		snap.VNodes = g.ring.VirtualNodes()
+		shards, vnodes = g.ring.Shards(), g.ring.VirtualNodes()
 	}
-	return json.Marshal(snap)
+	gate := append([]byte(nil), groupSnapMagic...)
+	gate = appendRing(gate, shards, vnodes)
+	gate = binary.AppendUvarint(gate, uint64(len(g.inEpochs)))
+	for src, epoch := range g.inEpochs {
+		gate = appendField(gate, src)
+		gate = binary.AppendUvarint(gate, epoch)
+	}
+	gate = binary.AppendUvarint(gate, g.outEpoch)
+	gate = binary.AppendUvarint(gate, uint64(g.outKeys))
+	gate = appendField(gate, g.outData)
+	out := make([]byte, 0, len(gate)+len(inner))
+	return append(append(out, gate...), inner...), nil
 }
 
+// Restore rebuilds the gate from a Snapshot and hands the inner bytes to the
+// inner machine. A malformed snapshot restores nothing.
 func (g *groupSM) Restore(snapshot []byte, lastIndex uint64) error {
-	var snap groupSnap
-	if err := json.Unmarshal(snapshot, &snap); err != nil {
+	if !bytes.HasPrefix(snapshot, groupSnapMagic) {
+		return fmt.Errorf("sharded: restore gate state: missing snapshot tag")
+	}
+	shards, vnodes, rest, err := splitRing(snapshot[len(groupSnapMagic):])
+	if err != nil {
 		return fmt.Errorf("sharded: restore gate state: %w", err)
 	}
+	n, w := binary.Uvarint(rest)
+	if w <= 0 || n > uint64(len(rest)-w)/2 {
+		return fmt.Errorf("sharded: restore gate state: bad in-epoch count")
+	}
+	rest = rest[w:]
+	inEpochs := make(map[string]uint64, n)
+	for i := uint64(0); i < n; i++ {
+		src, next, ok := splitField(rest)
+		if !ok {
+			return fmt.Errorf("sharded: restore gate state: truncated in-epoch source")
+		}
+		epoch, w := binary.Uvarint(next)
+		if w <= 0 {
+			return fmt.Errorf("sharded: restore gate state: truncated in-epoch")
+		}
+		inEpochs[string(src)], rest = epoch, next[w:]
+	}
+	outEpoch, w := binary.Uvarint(rest)
+	if w <= 0 {
+		return fmt.Errorf("sharded: restore gate state: truncated out-epoch")
+	}
+	outKeys, w2 := binary.Uvarint(rest[w:])
+	if w2 <= 0 || outKeys > math.MaxInt32 {
+		return fmt.Errorf("sharded: restore gate state: bad out-keys")
+	}
+	outData, inner, ok := splitField(rest[w+w2:])
+	if !ok {
+		return fmt.Errorf("sharded: restore gate state: truncated out-data")
+	}
+	if err := g.inner.Restore(inner, lastIndex); err != nil {
+		return err
+	}
 	g.ring = nil
-	if len(snap.Shards) > 0 {
-		g.ring = shard.New(snap.Shards, snap.VNodes)
+	if len(shards) > 0 {
+		g.ring = shard.New(shards, vnodes)
 	}
-	g.inEpochs = snap.InEpochs
-	if g.inEpochs == nil {
-		g.inEpochs = make(map[string]uint64)
+	// The snapshot buffer is shared and read-only: the outbox keeps a copy.
+	g.inEpochs, g.outEpoch, g.outKeys = inEpochs, outEpoch, int(outKeys)
+	g.outData = bytes.Clone(outData)
+	if len(g.outData) == 0 {
+		g.outData = nil
 	}
-	g.outEpoch, g.outData, g.outKeys = snap.OutEpoch, snap.OutData, snap.OutKeys
-	return g.inner.Restore(snap.Inner, lastIndex)
+	return nil
 }
 
 // migration is one in-flight AddShard/RemoveShard: the ring it is moving to
@@ -470,6 +660,9 @@ type Sharded struct {
 func NewSharded(newSM func() StateMachine, opts ShardedOptions) (*Sharded, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 4
+	}
+	if err := checkRingSize(opts.Shards, opts.VirtualNodes); err != nil {
+		return nil, err
 	}
 	if userHook := opts.Log.OnCommit; userHook != nil {
 		// Application hooks see the application's commands: unwrap envelopes,
@@ -773,7 +966,7 @@ func (s *Sharded) rebalanceShards(ctx context.Context, add, remove string) error
 	closed, mig := s.closed, s.mig
 	_, addExists := s.logs[add]
 	_, removeExists := s.logs[remove]
-	size := s.ring.Size()
+	size, vnodes := s.ring.Size(), s.ring.VirtualNodes()
 	s.mu.RUnlock()
 	if closed {
 		return fmt.Errorf("sharded: rebalance: %w", ErrLogClosed)
@@ -792,6 +985,9 @@ func (s *Sharded) rebalanceShards(ctx context.Context, add, remove string) error
 		}
 		var addLog *smr.Log
 		if add != "" {
+			if err := checkRingSize(size+1, vnodes); err != nil {
+				return err
+			}
 			var err error
 			if addLog, err = s.makeLog(add); err != nil {
 				return fmt.Errorf("sharded: shard %s: %w", add, err)
@@ -899,7 +1095,7 @@ func (s *Sharded) handoff(ctx context.Context, mig *migration, src string) error
 		if err != nil {
 			return fmt.Errorf("sharded: migrate out of %s: %w", src, err)
 		}
-		if err := json.Unmarshal(resp, &res); err != nil {
+		if res, err = decodeMigrateResult(resp); err != nil {
 			return fmt.Errorf("sharded: migrate out of %s: decode result: %w", src, err)
 		}
 		mig.exports[src] = res
@@ -933,8 +1129,8 @@ func (s *Sharded) handoff(ctx context.Context, mig *migration, src string) error
 		if err != nil {
 			return fmt.Errorf("sharded: import %s's range into %s: %w (range unavailable until the rebalance is retried to completion)", src, dest, err)
 		}
-		var ires migrateResult
-		if err := json.Unmarshal(resp, &ires); err != nil {
+		ires, err := decodeMigrateResult(resp)
+		if err != nil {
 			return fmt.Errorf("sharded: import into %s: decode result: %w", dest, err)
 		}
 		s.migrated.Add(uint64(ires.Keys))
